@@ -228,6 +228,11 @@ class QualityReport:
 def report(inst: Instance, layout: Layout) -> QualityReport:
     """Full quality report; ``approx_ratio`` is total over the forced-aware bound."""
     _require_valid(inst, layout)
+    return _report_valid(inst, layout)
+
+
+def _report_valid(inst: Instance, layout: Layout) -> QualityReport:
+    """:func:`report` for a layout the caller has already validated."""
     naive, forced_aware, flags = _bounds_with_flags(inst, layout)
     per = tuple(
         PaneQuality(i, half_perimeter(r), aspect_ratio(r), flags[i])

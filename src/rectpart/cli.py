@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 invalid input or usage, 2 guard refusal (instance
-too large for the exact solver), 3 internal invariant violation.
+too large for the exact solver), 3 internal invariant violation or internal
+failure (including a ``RecursionError``). Each command validates a layout
+at most once.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .bounds import report
+# ``report`` stays a name of this module so that tools which wrap the
+# CLI's layers at ``rectpart.cli.report`` keep working.
+from .bounds import _report_valid, report  # noqa: F401
 from .dc import partition_dc
 from .fileio import (
     FileFormatError,
@@ -99,7 +103,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     if args.svg:
         _write(args.svg, render_svg(layout, inst, SvgOptions(labels=args.labels)))
     if args.report:
-        _write(args.report, report_to_json(report(inst, layout)))
+        _write(args.report, report_to_json(_report_valid(inst, layout)))
     return 0
 
 
@@ -126,7 +130,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     diag = validate_layout(inst, layout)
     if not diag.ok:
         raise FileFormatError(f"layout does not satisfy the instance: {diag}")
-    _write(args.output, report_to_json(report(inst, layout)))
+    _write(args.output, report_to_json(_report_valid(inst, layout)))
     return 0
 
 
@@ -182,7 +186,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except OracleSizeError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2
-    except (InternalInvariantError, AssertionError) as e:
+    except (InternalInvariantError, AssertionError, RecursionError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
     except ValueError as e:

@@ -20,6 +20,9 @@ REL_TOL = 1e-9
 #: Allowed pairwise interior overlap, relative to the container area.
 OVERLAP_REL_TOL = 1e-12
 
+#: Candidate pairs the overlap sweep expands and tests at a time.
+_SWEEP_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class Rect:
@@ -219,6 +222,72 @@ class LayoutDiagnostics:
         return self.area_ok and self.total_ok and self.overlap_ok and self.containment_ok
 
 
+def _sweep_candidates(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable order of the panes by ``lo``, and each sorted pane's number of
+    later panes whose ``lo`` lies below its ``hi``."""
+    order = np.argsort(lo, kind="stable")
+    lo_sorted = lo[order]
+    stop = np.searchsorted(lo_sorted, hi[order], side="left")
+    return order, np.clip(stop - np.arange(1, lo.size + 1), 0, None)
+
+
+def _overlapping_pairs(
+    x: np.ndarray, y: np.ndarray, x2: np.ndarray, y2: np.ndarray, limit: float
+) -> tuple[tuple[int, int], ...]:
+    """Pairs ``(i, j)``, ``i < j`` in lexicographic order, whose intersection
+    area exceeds ``limit``.
+
+    A pair can only exceed ``limit >= 0`` when the two extents overlap on
+    both axes, so sweeping one axis suffices: with the panes sorted by their
+    low edge, each pane's candidates are the later panes that start before it
+    ends. The axis with fewer candidates is swept, which keeps strips and
+    spirals (quadratic on one axis) cheap on the other. Candidates are
+    expanded ``_SWEEP_CHUNK`` at a time and kept when they also overlap on
+    the cross axis; the survivors are tested with the pairwise formula
+    ``clip(min(x2) - max(x)) * clip(min(y2) - max(y)) > limit``, so each
+    decision is the same float computation as a full n x n test.
+    """
+    order, cnt = _sweep_candidates(x, x2)
+    cross_lo, cross_hi = y, y2
+    order_y, cnt_y = _sweep_candidates(y, y2)
+    if cnt_y.sum() < cnt.sum():
+        order, cnt = order_y, cnt_y
+        cross_lo, cross_hi = x, x2
+    cross_lo = cross_lo[order]
+    cross_hi = cross_hi[order]
+    ends = np.cumsum(cnt)
+    starts = ends - cnt
+    hot_a: list[np.ndarray] = []
+    hot_b: list[np.ndarray] = []
+    p0, n = 0, cnt.size
+    while p0 < n:
+        # Sorted positions [p0, p1) hold at most _SWEEP_CHUNK candidates,
+        # unless position p0 alone holds more (it then forms its own chunk).
+        p1 = max(int(np.searchsorted(ends, starts[p0] + _SWEEP_CHUNK, side="right")), p0 + 1)
+        span = cnt[p0:p1]
+        pos = np.repeat(np.arange(p0, p1), span)
+        partner = pos + 1 + np.arange(pos.size) - np.repeat(starts[p0:p1] - starts[p0], span)
+        meet = (
+            np.minimum(cross_hi[pos], cross_hi[partner])
+            - np.maximum(cross_lo[pos], cross_lo[partner])
+            > 0.0
+        )
+        a = order[pos[meet]]
+        b = order[partner[meet]]
+        ox = np.minimum(x2[a], x2[b]) - np.maximum(x[a], x[b])
+        oy = np.minimum(y2[a], y2[b]) - np.maximum(y[a], y[b])
+        hot = np.clip(ox, 0.0, None) * np.clip(oy, 0.0, None) > limit
+        hot_a.append(a[hot])
+        hot_b.append(b[hot])
+        p0 = p1
+    a = np.concatenate(hot_a)
+    b = np.concatenate(hot_b)
+    i = np.minimum(a, b)
+    j = np.maximum(a, b)
+    rank = np.lexsort((j, i))
+    return tuple(zip(i[rank].tolist(), j[rank].tolist()))
+
+
 def validate_layout(inst: Instance, layout: Layout) -> LayoutDiagnostics:
     """Check a layout against its instance.
 
@@ -227,6 +296,12 @@ def validate_layout(inst: Instance, layout: Layout) -> LayoutDiagnostics:
     and no pair overlaps by more than ``OVERLAP_REL_TOL`` of the container
     area); every pane stays inside the container. Failures are reported,
     never raised.
+
+    The overlap check sorts the panes along one axis and tests only pairs
+    whose extents meet on it (see :func:`_overlapping_pairs`), so it takes
+    O(n log n + k) time for k candidate pairs and O(n) memory beyond a
+    fixed-size chunk. ``overlaps`` lists the offending pairs ``(i, j)``,
+    ``i < j``, in lexicographic order.
     """
     n = inst.n
     if len(layout.rects) != n:
@@ -245,12 +320,7 @@ def validate_layout(inst: Instance, layout: Layout) -> LayoutDiagnostics:
 
     x2 = x + w
     y2 = y + h
-    ox = np.minimum(x2[:, None], x2[None, :]) - np.maximum(x[:, None], x[None, :])
-    oy = np.minimum(y2[:, None], y2[None, :]) - np.maximum(y[:, None], y[None, :])
-    inter = np.clip(ox, 0.0, None) * np.clip(oy, 0.0, None)
-    iu, ju = np.triu_indices(n, k=1)
-    hot = inter[iu, ju] > OVERLAP_REL_TOL * c.area
-    pairs = tuple((int(i), int(j)) for i, j in zip(iu[hot], ju[hot]))
+    pairs = _overlapping_pairs(x, y, x2, y2, OVERLAP_REL_TOL * c.area)
 
     eps = REL_TOL * max(c.w, c.h)
     out = np.nonzero(

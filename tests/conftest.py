@@ -1,9 +1,14 @@
-"""Shared helpers for walking layout trees in tests."""
+"""Shared test helpers: layout-tree walkers and a dense validation reference."""
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from rectpart import Internal, Leaf, aspect_ratio
 from rectpart.bounds import _index_tree
+from rectpart.geometry import OVERLAP_REL_TOL, REL_TOL, LayoutDiagnostics
 
 
 def consecutive_ratio_cap(inst):
@@ -56,3 +61,46 @@ def parent_ids(tree):
             parents[left_id[i]] = i
             parents[right_id[i]] = i
     return parents
+
+
+def dense_validate_layout(inst, layout):
+    """Reference for :func:`rectpart.validate_layout`: the same checks, with
+    the overlap test done pairwise on n x n arrays (O(n^2) time and memory)."""
+    n = inst.n
+    if len(layout.rects) != n:
+        raise ValueError(f"layout carries {len(layout.rects)} rects for {n} areas")
+    c = inst.container
+    x = np.fromiter((r.x for r in layout.rects), dtype=float, count=n)
+    y = np.fromiter((r.y for r in layout.rects), dtype=float, count=n)
+    w = np.fromiter((r.w for r in layout.rects), dtype=float, count=n)
+    h = np.fromiter((r.h for r in layout.rects), dtype=float, count=n)
+    target = np.asarray(inst.areas, dtype=float)
+
+    areas = w * h
+    bad = np.nonzero(np.abs(areas - target) > REL_TOL * target)[0]
+
+    total_ok = abs(math.fsum(float(a) for a in areas) - c.area) <= REL_TOL * c.area
+
+    x2 = x + w
+    y2 = y + h
+    ox = np.minimum(x2[:, None], x2[None, :]) - np.maximum(x[:, None], x[None, :])
+    oy = np.minimum(y2[:, None], y2[None, :]) - np.maximum(y[:, None], y[None, :])
+    inter = np.clip(ox, 0.0, None) * np.clip(oy, 0.0, None)
+    iu, ju = np.triu_indices(n, k=1)
+    hot = inter[iu, ju] > OVERLAP_REL_TOL * c.area
+    pairs = tuple((int(i), int(j)) for i, j in zip(iu[hot], ju[hot]))
+
+    eps = REL_TOL * max(c.w, c.h)
+    out = np.nonzero(
+        (x < c.x - eps) | (y < c.y - eps) | (x2 > c.x + c.w + eps) | (y2 > c.y + c.h + eps)
+    )[0]
+
+    return LayoutDiagnostics(
+        area_ok=bad.size == 0,
+        bad_areas=tuple(int(i) for i in bad),
+        total_ok=total_ok,
+        overlap_ok=len(pairs) == 0,
+        overlaps=pairs,
+        containment_ok=out.size == 0,
+        escapees=tuple(int(i) for i in out),
+    )

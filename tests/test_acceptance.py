@@ -18,7 +18,7 @@ from rectpart import APPROX_FACTOR, APPROX_FACTOR_SQUARISH
 from rectpart.cli import cli_main
 from rectpart.dc import ReductionStats
 
-from conftest import node_invariants
+from conftest import dense_validate_layout, node_invariants
 
 TOL = 1e-9
 DATA_DIR = Path(__file__).parent / "data"
@@ -45,6 +45,7 @@ class SweepRecord:
     ratio: float
     case1: bool
     valid: bool
+    matches_dense: bool
     nodes_ok: bool
     mdc_iters: int
     mdc_pairwise: int
@@ -76,6 +77,7 @@ def sweep():
                     ratio=rep.approx_ratio,
                     case1=all(p.aspect_ratio <= 3.0 or p.forced for p in rep.per_rect),
                     valid=diag.ok,
+                    matches_dense=diag == dense_validate_layout(inst, layout),
                     nodes_ok=balance_ok and ar_ok,
                     mdc_iters=mdc_stats.iterations,
                     mdc_pairwise=mdc_stats.pairwise_equivalent,
@@ -84,6 +86,11 @@ def sweep():
             )
     print(f"[sweep] {len(records)} instances in {time.perf_counter() - t0:.1f}s")
     return records
+
+
+def test_sweep_diagnostics_match_dense_reference(sweep):
+    mismatched = [(r.family, r.q, r.n) for r in sweep if not r.matches_dense]
+    assert not mismatched, f"validate_layout differs from the dense reference on {mismatched[:5]}"
 
 
 def test_criterion_1_approximation_factor(sweep):

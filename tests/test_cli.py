@@ -3,6 +3,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import rectpart as rp
+from rectpart import cli
 from rectpart.cli import cli_main
 
 HALVES = b'{"container": {"width": 1, "height": 1}, "areas": [0.5, 0.5]}'
@@ -139,3 +141,48 @@ def test_outputs_are_deterministic(tmp_path):
         ) == 0
         outputs.append((lay.read_bytes(), svg.read_bytes(), rep.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_recursion_error_exits_three(halves_file, monkeypatch, capsys):
+    def too_deep(inst):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "partition_mdc", too_deep)
+    assert cli_main(["partition", "--algo", "mdc", "--input", str(halves_file)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_deep_chain_gets_an_exit_code(tmp_path, capsys):
+    """A valid deep chain either lays out or fails as an internal error,
+    never with an exception escaping the CLI."""
+    inst = rp.generate(
+        rp.GenSpec(n=1000, family="geometric", seed=1, container=rp.Rect(0, 0, 1, 1), q=0.5)
+    )
+    path = tmp_path / "chain.json"
+    path.write_bytes(rp.serialize_instance(inst))
+    code = cli_main(["partition", "--algo", "mdc", "--input", str(path),
+                     "--output", str(tmp_path / "layout.json")])
+    assert code in (0, 3)
+    if code == 3:
+        assert capsys.readouterr().err.startswith("internal error: ")
+
+
+def test_partition_and_eval_validate_once(halves_file, tmp_path, monkeypatch):
+    calls = []
+    validate = rp.validate_layout
+
+    def counting_validate(inst, layout):
+        calls.append(layout)
+        return validate(inst, layout)
+
+    monkeypatch.setattr(cli, "validate_layout", counting_validate)
+    monkeypatch.setattr(rp.bounds, "validate_layout", counting_validate)
+    layout = tmp_path / "layout.json"
+    assert cli_main(["partition", "--algo", "dc", "--input", str(halves_file),
+                     "--output", str(layout), "--report", str(tmp_path / "rep.json")]) == 0
+    assert len(calls) == 1
+    assert cli_main(["eval", "--instance", str(halves_file), "--layout", str(layout),
+                     "--output", str(tmp_path / "eval.json")]) == 0
+    assert len(calls) == 2

@@ -1,9 +1,17 @@
+import json
 import math
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import rectpart as rp
+from rectpart import geometry
+
+from conftest import dense_validate_layout
 
 coord = st.floats(min_value=-100.0, max_value=100.0)
 extent = st.floats(min_value=1e-3, max_value=1e3)
@@ -122,6 +130,22 @@ def test_validate_layout_flags_overlap():
     assert not diag.overlap_ok
     assert diag.overlaps == ((0, 1),)
 
+    # Several overlaps, listed by (i, j) with i < j in lexicographic order
+    # whatever the panes' positions along either axis.
+    inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.25] * 4)
+    layout = rp.Layout(
+        (
+            rp.Rect(0.5, 0.0, 0.5, 0.5),
+            rp.Rect(0.0, 0.5, 0.5, 0.5),
+            rp.Rect(0.25, 0.25, 0.5, 0.5),
+            rp.Rect(0.0, 0.0, 0.5, 0.5),
+        ),
+        None,
+    )
+    diag = rp.validate_layout(inst, layout)
+    assert not diag.overlap_ok
+    assert diag.overlaps == ((0, 2), (1, 2), (2, 3))
+
 
 def test_validate_layout_flags_area_mismatch():
     inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.6, 0.4])
@@ -147,3 +171,107 @@ def test_layout_from_tree_checks_indices():
         rp.Layout.from_tree(rp.Leaf(r, 1), 1)
     lay = rp.Layout.from_tree(rp.Leaf(r, 0), 1)
     assert lay.rects == (r,)
+
+
+def _grid_edge(k: int, nudge: int) -> float:
+    """k/4, optionally moved one ulp down (-1) or up (+1)."""
+    v = k / 4
+    return v if nudge == 0 else math.nextafter(v, nudge * math.inf)
+
+
+nudge_st = st.sampled_from((0, 0, 0, -1, 1))
+
+
+@st.composite
+def grid_rect_st(draw):
+    """Rects on a quarter grid that spills past the unit square, so shared
+    edges, edges one ulp apart, duplicate low coordinates and escapees are
+    all common; now and then a free-floating one."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.builds(
+            rp.Rect,
+            st.floats(-0.5, 1.0), st.floats(-0.5, 1.0),
+            st.floats(1e-3, 1.0), st.floats(1e-3, 1.0),
+        ))
+    kx, ky = draw(st.integers(-1, 4)), draw(st.integers(-1, 4))
+    kw, kh = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    x, y = _grid_edge(kx, draw(nudge_st)), _grid_edge(ky, draw(nudge_st))
+    x2, y2 = _grid_edge(kx + kw, draw(nudge_st)), _grid_edge(ky + kh, draw(nudge_st))
+    return rp.Rect(x, y, x2 - x, y2 - y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(grid_rect_st(), st.sampled_from((1.0, 1.0, 1.0, 1.5))), min_size=1, max_size=40)
+)
+def test_validate_layout_matches_dense_reference(panes):
+    rects = tuple(r for r, _ in panes)
+    # A target off by a factor of 1.5 makes that pane an area mismatch.
+    inst = rp.make_instance(
+        rp.Rect(0, 0, 1, 1), [r.area * skew for r, skew in panes], normalize=True
+    )
+    layout = rp.Layout(rects, None)
+    expected = dense_validate_layout(inst, layout)
+    assert rp.validate_layout(inst, layout) == expected
+    # Tiny chunks split the candidate pairs at every possible place.
+    with mock.patch.object(geometry, "_SWEEP_CHUNK", 3):
+        assert rp.validate_layout(inst, layout) == expected
+
+
+def _pane_arrays(layout):
+    x = np.array([r.x for r in layout.rects])
+    y = np.array([r.y for r in layout.rects])
+    return x, y, x + np.array([r.w for r in layout.rects]), y + np.array([r.h for r in layout.rects])
+
+
+@pytest.mark.parametrize("overlap", [1, 60])
+def test_validate_layout_full_width_strips(overlap):
+    """n=1500 full-width strips, each reaching ``overlap`` strips up. Every
+    pair overlaps along x; along y each strip meets its next ``overlap - 1``
+    neighbours, which for ``overlap=60`` spans more than one chunk."""
+    n = 1500
+    step = 1.0 / (n + overlap - 1)
+    rects = tuple(rp.Rect(0.0, k * step, 1.0, overlap * step) for k in range(n))
+    inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [r.area for r in rects], normalize=True)
+    layout = rp.Layout(rects, None)
+    x, y, x2, y2 = _pane_arrays(layout)
+    assert geometry._sweep_candidates(x, x2)[1].sum() == n * (n - 1) // 2
+    if overlap > 1:
+        assert geometry._sweep_candidates(y, y2)[1].sum() > geometry._SWEEP_CHUNK
+    diag = rp.validate_layout(inst, layout)
+    assert diag == dense_validate_layout(inst, layout)
+    assert diag.overlap_ok == (overlap == 1)
+
+
+def test_validate_layout_geometric_spiral():
+    inst = rp.generate(
+        rp.GenSpec(n=600, family="geometric", seed=7, container=rp.Rect(0, 0, 1, 1), q=0.5)
+    )
+    layout = rp.partition_dc(inst)
+    assert rp.validate_layout(inst, layout) == dense_validate_layout(inst, layout)
+
+
+def test_validate_layout_golden_fixture_matches_dense_reference():
+    golden = json.loads((Path(__file__).parent / "data" / "golden_n25.json").read_text())
+    spec = golden["genSpec"]
+    inst = rp.generate(rp.GenSpec(
+        n=spec["n"], family=spec["family"], seed=spec["seed"],
+        container=rp.Rect(0, 0, spec["container"]["width"], spec["container"]["height"]),
+    ))
+    for partition in (rp.partition_dc, rp.partition_mdc):
+        layout = partition(inst)
+        diag = rp.validate_layout(inst, layout)
+        assert diag.ok
+        assert diag == dense_validate_layout(inst, layout)
+
+
+def test_validate_layout_memory_is_linear():
+    inst = rp.generate(rp.GenSpec(n=3000, family="uniform", seed=3000, container=rp.Rect(0, 0, 1, 1)))
+    layout = rp.partition_dc(inst)
+    tracemalloc.start()
+    try:
+        assert rp.validate_layout(inst, layout).ok
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 32.0, f"validate_layout peaked at {peak_mb:.1f} MB for n=3000"
