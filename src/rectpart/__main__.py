@@ -1,0 +1,6 @@
+"""``python -m rectpart``: the command-line interface."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

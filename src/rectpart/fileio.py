@@ -4,15 +4,28 @@ Instance documents::
 
     {"container": {"width": 1.0, "height": 1.0}, "areas": [0.5, 0.5]}
 
-Layout documents::
+Layout documents (format version 2)::
 
-    {"rects": [{"index": 0, "x": ..., "y": ..., "width": ..., "height": ...}, ...],
-     "totalHalfPerimeter": ...}
+    {"version": 2,
+     "rects": [{"index": 0, "x": ..., "y": ..., "width": ..., "height": ...}, ...],
+     "totalHalfPerimeter": ...,
+     "tree": [node, ...]}
 
-plus an optional "tree" key holding the nested cut structure. Numbers are
-IEEE-754 doubles written with Python's shortest round-trip repr (at most 17
-significant digits), so parse(serialize(x)) reproduces x bit for bit. The
-instance format stores extents only and places the container at the origin.
+The optional "tree" key holds the cut tree as a flat list of nodes in
+preorder: each parent, then its left subtree, then its right subtree. A leaf
+is ``{"index": i, "rect": {...}}`` and an internal node is
+``{"cut": "vertical" | "horizontal", "rect": {...}}``; the list fixes the
+tree's shape, so a file grows linearly with the number of panes and its
+nesting depth does not depend on the tree's depth. Version 1 documents (no
+"version" key) nest the tree as ``{"cut", "rect", "left", "right"}`` objects;
+they are still read, and re-serialize as version 2.
+
+Layout and report documents are written compactly (no indentation or spaces),
+which lets ``json`` use its C encoder; instance documents keep two-space
+indentation. Numbers are IEEE-754 doubles written with Python's shortest
+round-trip repr (at most 17 significant digits), so parse(serialize(x))
+reproduces x bit for bit. The instance format stores extents only and places
+the container at the origin.
 """
 
 from __future__ import annotations
@@ -22,7 +35,20 @@ import math
 from typing import Any
 
 from .bounds import QualityReport
-from .geometry import Cut, Instance, Internal, Layout, LayoutTree, Leaf, Rect, make_instance
+from .geometry import (
+    Cut,
+    Instance,
+    Internal,
+    Layout,
+    LayoutTree,
+    Leaf,
+    Rect,
+    make_instance,
+    preorder,
+)
+
+#: Format version written by :func:`serialize_layout`.
+LAYOUT_VERSION = 2
 
 
 class FileFormatError(ValueError):
@@ -36,6 +62,12 @@ def _loads(data: bytes | str) -> Any:
         return json.loads(data)
     except json.JSONDecodeError as e:
         raise FileFormatError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise FileFormatError("JSON document nests too deeply") from e
+
+
+def _dumps(doc: Any) -> bytes:
+    return (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def _number(obj: Any, what: str) -> float:
@@ -102,55 +134,87 @@ def _rect_from_obj(obj: Any, what: str) -> Rect:
         raise FileFormatError(str(e)) from e
 
 
-def _tree_to_obj(node: LayoutTree) -> dict:
+def _node_to_obj(node: LayoutTree) -> dict:
     if isinstance(node, Leaf):
         return {"index": node.area_index, "rect": _rect_to_obj(node.rect)}
-    return {
-        "cut": node.cut.value,
-        "rect": _rect_to_obj(node.rect),
-        "left": _tree_to_obj(node.left),
-        "right": _tree_to_obj(node.right),
-    }
-
-
-def _tree_from_obj(obj: Any) -> LayoutTree:
-    if not isinstance(obj, dict):
-        raise FileFormatError("tree nodes must be objects")
-    rect = _rect_from_obj(obj.get("rect"), "tree node rect")
-    if "index" in obj:
-        idx = obj["index"]
-        if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
-            raise FileFormatError(f"leaf index must be a non-negative integer, got {idx!r}")
-        return Leaf(rect, idx)
-    cut = obj.get("cut")
-    if cut not in (Cut.VERTICAL.value, Cut.HORIZONTAL.value):
-        raise FileFormatError(f'internal tree nodes need "cut" of "vertical" or "horizontal", got {cut!r}')
-    if "left" not in obj or "right" not in obj:
-        raise FileFormatError("internal tree nodes need left and right children")
-    return Internal(rect, Cut(cut), _tree_from_obj(obj["left"]), _tree_from_obj(obj["right"]))
+    return {"cut": node.cut.value, "rect": _rect_to_obj(node.rect)}
 
 
 def serialize_layout(layout: Layout, *, include_tree: bool = False) -> bytes:
     doc: dict[str, Any] = {
+        "version": LAYOUT_VERSION,
         "rects": [
             {"index": i, **_rect_to_obj(r)} for i, r in enumerate(layout.rects)
         ],
         "totalHalfPerimeter": layout.total_half_perimeter(),
     }
     if include_tree and layout.tree is not None:
-        doc["tree"] = _tree_to_obj(layout.tree)
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        doc["tree"] = [_node_to_obj(node) for node in preorder(layout.tree)]
+    return _dumps(doc)
+
+
+def _preorder_v1(root: Any) -> list:
+    """The nodes of a version 1 nested tree in preorder, as version 2 lists
+    them (the builder ignores their "left" and "right" keys)."""
+    out: list = []
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        out.append(obj)
+        if isinstance(obj, dict) and "index" not in obj:
+            if "left" not in obj or "right" not in obj:
+                raise FileFormatError("internal tree nodes need left and right children")
+            stack.append(obj["right"])
+            stack.append(obj["left"])
+    return out
+
+
+def _tree_from_preorder(nodes: list) -> LayoutTree:
+    """Rebuild a cut tree from its nodes in preorder.
+
+    The list is scanned backwards, so both subtrees of a node are complete
+    on the stack, left on top, when the node is reached. A valid list leaves
+    exactly one tree on the stack.
+    """
+    if not nodes:
+        raise FileFormatError("tree needs at least one node")
+    stack: list[LayoutTree] = []
+    for i in range(len(nodes) - 1, -1, -1):
+        obj = nodes[i]
+        if not isinstance(obj, dict):
+            raise FileFormatError(f"tree node {i} must be an object")
+        rect = _rect_from_obj(obj.get("rect"), f"tree node {i} rect")
+        if "index" in obj:
+            idx = obj["index"]
+            if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
+                raise FileFormatError(f"leaf index must be a non-negative integer, got {idx!r}")
+            stack.append(Leaf(rect, idx))
+            continue
+        cut = obj.get("cut")
+        if cut not in (Cut.VERTICAL.value, Cut.HORIZONTAL.value):
+            raise FileFormatError(f'internal tree nodes need "cut" of "vertical" or "horizontal", got {cut!r}')
+        if len(stack) < 2:
+            raise FileFormatError(f"internal tree node {i} lacks a child")
+        left = stack.pop()
+        stack.append(Internal(rect, Cut(cut), left, stack.pop()))
+    if len(stack) != 1:
+        raise FileFormatError(f"tree nodes form {len(stack)} trees instead of one")
+    return stack[0]
 
 
 def parse_layout(data: bytes | str) -> Layout:
-    """Decode a layout document.
+    """Decode a layout document of format version 1 or 2.
 
-    Every index 0..n-1 must appear exactly once. When a tree is present its
-    leaves must agree with the flat rect list exactly.
+    Every index 0..n-1 must appear exactly once in the rects. When a tree is
+    present its leaves must cover 0..n-1 exactly once and agree with the flat
+    rect list exactly.
     """
     doc = _loads(data)
     if not isinstance(doc, dict) or "rects" not in doc:
         raise FileFormatError('layout document needs a "rects" key')
+    version = doc.get("version", 1)
+    if type(version) is not int or version not in (1, LAYOUT_VERSION):
+        raise FileFormatError(f"unknown layout format version {version!r}")
     entries = doc["rects"]
     if not isinstance(entries, list) or not entries:
         raise FileFormatError("at least one rect is required")
@@ -166,11 +230,22 @@ def parse_layout(data: bytes | str) -> Layout:
             raise FileFormatError(f"rect index {idx} appears twice")
         slots[idx] = _rect_from_obj(e, f"rects[{idx}]")
     rects = tuple(slots)  # type: ignore[arg-type]
-    tree = _tree_from_obj(doc["tree"]) if "tree" in doc else None
+    if "tree" not in doc:
+        return Layout(rects, None)
+    nodes = doc["tree"]
+    if version == 1:
+        nodes = _preorder_v1(nodes)
+    elif not isinstance(nodes, list):
+        raise FileFormatError('"tree" must be a list of nodes in preorder')
+    tree = _tree_from_preorder(nodes)
     try:
-        return Layout(rects, tree)
+        layout = Layout.from_tree(tree, n)
     except ValueError as e:
         raise FileFormatError(str(e)) from e
+    for i, (leaf_rect, rect) in enumerate(zip(layout.rects, rects)):
+        if leaf_rect != rect:
+            raise FileFormatError(f"rects[{i}] disagrees with its leaf")
+    return layout
 
 
 def report_to_json(rep: QualityReport) -> bytes:
@@ -190,4 +265,4 @@ def report_to_json(rep: QualityReport) -> bytes:
             for p in rep.per_rect
         ],
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return _dumps(doc)

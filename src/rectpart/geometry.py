@@ -170,14 +170,35 @@ def make_instance(container: Rect, areas, *, normalize: bool = False) -> Instanc
     return Instance(container, vals)
 
 
-@dataclass(frozen=True)
+def _node_key(node: LayoutTree) -> tuple:
+    if isinstance(node, Leaf):
+        return (Leaf, node.rect, node.area_index)
+    return (Internal, node.rect, node.cut)
+
+
+@dataclass(frozen=True, eq=False)
 class Layout:
     """Placed panes, one per target area and in the same order, plus the cut
     tree that produced them. ``tree`` is None for layouts loaded from flat
-    files that carried no tree."""
+    files that carried no tree.
+
+    Two layouts are equal when their rects are equal and their trees list
+    equal nodes (kind, rect, and cut or area index) in preorder; equality and
+    hashing walk the tree iteratively, so deep chains compare fine."""
 
     rects: tuple[Rect, ...]
     tree: LayoutTree | None
+
+    def _tree_key(self) -> tuple | None:
+        return None if self.tree is None else tuple(map(_node_key, preorder(self.tree)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Layout):
+            return NotImplemented
+        return self.rects == other.rects and self._tree_key() == other._tree_key()
+
+    def __hash__(self) -> int:
+        return hash((self.rects, self._tree_key()))
 
     def __post_init__(self) -> None:
         if self.tree is not None:

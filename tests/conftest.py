@@ -6,9 +6,23 @@ import math
 
 import numpy as np
 
-from rectpart import Internal, Leaf, aspect_ratio
+from rectpart import Cut, GenSpec, Internal, Layout, Leaf, Rect, aspect_ratio, generate
 from rectpart.bounds import _index_tree
 from rectpart.geometry import OVERLAP_REL_TOL, REL_TOL, LayoutDiagnostics
+
+
+def geometric_chain(n=600):
+    """Geometric q=0.5 instance, whose dc layout is a chain about n cuts deep."""
+    return generate(GenSpec(n=n, family="geometric", seed=7, container=Rect(0, 0, 1, 1), q=0.5))
+
+
+def strip_chain(n):
+    """n unit squares in a 1-high strip, cut off the left one at a time: a
+    tree n - 1 cuts deep, built bottom-up without recursion."""
+    tree = Leaf(Rect(n - 1, 0, 1, 1), n - 1)
+    for i in range(n - 2, -1, -1):
+        tree = Internal(Rect(i, 0, n - i, 1), Cut.VERTICAL, Leaf(Rect(i, 0, 1, 1), i), tree)
+    return Layout.from_tree(tree, n)
 
 
 def consecutive_ratio_cap(inst):

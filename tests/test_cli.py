@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 import rectpart as rp
 from rectpart import cli
 from rectpart.cli import cli_main
+
+from conftest import geometric_chain
 
 HALVES = b'{"container": {"width": 1, "height": 1}, "areas": [0.5, 0.5]}'
 
@@ -186,3 +192,56 @@ def test_partition_and_eval_validate_once(halves_file, tmp_path, monkeypatch):
     assert cli_main(["eval", "--instance", str(halves_file), "--layout", str(layout),
                      "--output", str(tmp_path / "eval.json")]) == 0
     assert len(calls) == 2
+
+
+# Leaf 0 twice and no leaf 1: a tree that does not tile the two halves, which
+# would give a forced-aware bound of 2.914 instead of 3.0.
+DOUBLE_LEAF_V1 = b"""{"rects": [
+  {"index": 0, "x": 0.0, "y": 0.5, "width": 1.0, "height": 0.5},
+  {"index": 1, "x": 0.0, "y": 0.0, "width": 1.0, "height": 0.5}],
+ "totalHalfPerimeter": 3.0,
+ "tree": {"cut": "horizontal", "rect": {"x": 0.0, "y": 0.0, "width": 1.0, "height": 1.0},
+  "left": {"index": 0, "rect": {"x": 0.0, "y": 0.5, "width": 1.0, "height": 0.5}},
+  "right": {"index": 0, "rect": {"x": 0.0, "y": 0.5, "width": 1.0, "height": 0.5}}}}"""
+
+
+def _as_v2(v1: bytes) -> bytes:
+    doc = json.loads(v1)
+    root = doc["tree"]
+    doc["tree"] = [root, root.pop("left"), root.pop("right")]
+    return json.dumps({"version": 2, **doc}).encode()
+
+
+@pytest.mark.parametrize("data", [DOUBLE_LEAF_V1, _as_v2(DOUBLE_LEAF_V1)], ids=["v1", "v2"])
+def test_eval_rejects_tree_that_does_not_tile(halves_file, tmp_path, capsys, data):
+    with pytest.raises(rp.FileFormatError, match="two leaves"):
+        rp.parse_layout(data)
+    layout = tmp_path / "layout.json"
+    layout.write_bytes(data)
+    assert cli_main(["eval", "--instance", str(halves_file), "--layout", str(layout),
+                     "--output", str(tmp_path / "eval.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_deep_chain_partition_then_eval_reproduces_report(tmp_path):
+    inst = tmp_path / "chain.json"
+    inst.write_bytes(rp.serialize_instance(geometric_chain()))
+    layout, rep, again = (tmp_path / name for name in ("layout.json", "rep.json", "eval.json"))
+    assert cli_main(["partition", "--algo", "dc", "--input", str(inst),
+                     "--output", str(layout), "--report", str(rep)]) == 0
+    assert cli_main(["eval", "--instance", str(inst), "--layout", str(layout),
+                     "--output", str(again)]) == 0
+    assert again.read_bytes() == rep.read_bytes()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(rp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "inst.json"
+    cmd = [sys.executable, "-m", "rectpart", "gen", "--n", "3", "--family", "uniform",
+           "--seed", "1", "--width", "1", "--height", "1", "--output", str(out)]
+    assert subprocess.run(cmd, env=env, timeout=60).returncode == 0
+    assert rp.parse_instance(out.read_bytes()).n == 3
+    bad = subprocess.run([sys.executable, "-m", "rectpart", "partition", "--bogus"],
+                         env=env, capture_output=True, timeout=60)
+    assert bad.returncode == 1

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import rectpart as rp
 from rectpart import geometry
 
-from conftest import dense_validate_layout
+from conftest import dense_validate_layout, geometric_chain, strip_chain
 
 coord = st.floats(min_value=-100.0, max_value=100.0)
 extent = st.floats(min_value=1e-3, max_value=1e3)
@@ -173,6 +173,25 @@ def test_layout_from_tree_checks_indices():
     assert lay.rects == (r,)
 
 
+def test_layout_equality_and_hash_do_not_recurse():
+    inst = geometric_chain()
+    a, b = rp.partition_dc(inst), rp.partition_dc(inst)
+    assert a == b and hash(a) == hash(b)
+    assert a != rp.Layout(a.rects, None)
+    chain = strip_chain(3000)
+    assert chain == strip_chain(3000) and hash(chain) == hash(strip_chain(3000))
+
+
+def test_layout_equality_compares_tree_nodes():
+    top, bottom = rp.Rect(0, 0.5, 1, 0.5), rp.Rect(0, 0, 1, 0.5)
+    tree = rp.Internal(rp.Rect(0, 0, 1, 1), rp.Cut.HORIZONTAL, rp.Leaf(top, 0), rp.Leaf(bottom, 1))
+    layout = rp.Layout((top, bottom), tree)
+    assert layout == rp.Layout((top, bottom), tree)
+    assert layout != rp.Layout((top, bottom), rp.Internal(tree.rect, rp.Cut.VERTICAL, tree.left, tree.right))
+    assert layout != rp.Layout((top, bottom), None)
+    assert layout != (top, bottom)
+
+
 def _grid_edge(k: int, nudge: int) -> float:
     """k/4, optionally moved one ulp down (-1) or up (+1)."""
     v = k / 4
@@ -244,9 +263,7 @@ def test_validate_layout_full_width_strips(overlap):
 
 
 def test_validate_layout_geometric_spiral():
-    inst = rp.generate(
-        rp.GenSpec(n=600, family="geometric", seed=7, container=rp.Rect(0, 0, 1, 1), q=0.5)
-    )
+    inst = geometric_chain()
     layout = rp.partition_dc(inst)
     assert rp.validate_layout(inst, layout) == dense_validate_layout(inst, layout)
 
