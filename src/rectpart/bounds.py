@@ -38,6 +38,7 @@ from .geometry import (
     Leaf,
     Rect,
     aspect_ratio,
+    child_ids,
     half_perimeter,
     preorder,
     validate_layout,
@@ -45,32 +46,6 @@ from .geometry import (
 
 #: Coordinate slack for edge containment, relative to the container extent.
 EDGE_TOL = 1e-9
-
-
-def _index_tree(tree: LayoutTree) -> tuple[list[LayoutTree], list[int], list[int]]:
-    """Preorder node list plus left/right child ids (-1 for leaves).
-
-    The ids match positions in :func:`rectpart.geometry.preorder`.
-    """
-    nodes: list[LayoutTree] = []
-    left_id: list[int] = []
-    right_id: list[int] = []
-    stack: list[tuple[LayoutTree, int, bool]] = [(tree, -1, False)]
-    while stack:
-        node, parent, is_right = stack.pop()
-        my_id = len(nodes)
-        nodes.append(node)
-        left_id.append(-1)
-        right_id.append(-1)
-        if parent >= 0:
-            if is_right:
-                right_id[parent] = my_id
-            else:
-                left_id[parent] = my_id
-        if isinstance(node, Internal):
-            stack.append((node.right, my_id, True))
-            stack.append((node.left, my_id, False))
-    return nodes, left_id, right_id
 
 
 def _long_edges(r: Rect) -> list[tuple[str, float, float, float]]:
@@ -99,7 +74,8 @@ def detect_forced(
     publishes its long edges and, when a single constituent claims at least
     half its area, forces its right child.
     """
-    nodes, left_id, right_id = _index_tree(tree)
+    nodes = preorder(tree)
+    left_id, right_id = child_ids(nodes)
     n_nodes = len(nodes)
 
     a_max = [0.0] * n_nodes

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 invalid input or usage, 2 guard refusal (instance
-too large for the exact solver), 3 internal invariant violation or internal
-failure (including a ``RecursionError``). Each command validates a layout
-at most once.
+Exit codes: 0 success, 1 invalid input, usage or an unreadable or unwritable
+file, 2 guard refusal (instance too large for the exact solver), 3 internal
+invariant violation or any other internal failure. Each command validates a
+layout at most once.
 """
 
 from __future__ import annotations
@@ -177,21 +177,17 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as e:
         print(e, file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileFormatError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OracleSizeError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2
-    except (InternalInvariantError, AssertionError, RecursionError) as e:
-        print(f"internal error: {e}", file=sys.stderr)
+    except Exception as e:
+        # InternalInvariantError, RecursionError and anything else escaping
+        # a command: one line, never a traceback.
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:

@@ -3,8 +3,9 @@
 The driver sorts the target areas once (non-increasing), reduces the working
 list to two compound blocks by replacing the two smallest entries with their
 sum until only two remain, cuts the rectangle in proportion to the two block
-totals, and recurses into both pieces. Every intermediate list is kept sorted,
-so each block hands its members to the recursive call already in order.
+totals, and treats both pieces the same way. An explicit stack replaces the
+paper's recursion, so chains of any depth lay out. Every intermediate list is
+kept sorted, so each block hands its members to its piece already in order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .geometry import Cut, Instance, Internal, Layout, LayoutTree, Leaf, Rect, split_rect
+from .geometry import Cut, Instance, Layout, Leaf, PreorderNode, split_rect, tree_from_preorder
 
 #: Worst-case ratio between the produced total half-perimeter and the best
 #: possible one, over all instances.
@@ -65,13 +66,6 @@ def _insertion_point(values: list[float], value: float) -> int:
     return len(values) - bisect.bisect_left(values[::-1], value)
 
 
-def _insert_sorted(
-    values: list[float], blocks: list[Block], value: float, block: Block
-) -> tuple[list[float], list[Block]]:
-    pos = _insertion_point(values, value)
-    return values[:pos] + [value] + values[pos:], blocks[:pos] + [block] + blocks[pos:]
-
-
 def bipartition_two_smallest(
     sorted_areas: Sequence[float], stats: ReductionStats | None = None
 ) -> tuple[Block, Block]:
@@ -104,39 +98,24 @@ def bipartition_two_smallest(
 Reducer = Callable[[Sequence[float], "ReductionStats | None"], tuple[Block, Block]]
 
 
-def _build(
-    rect: Rect,
-    values: list[float],
-    indices: list[int],
-    reduce_to_two: Reducer,
-    stats: ReductionStats | None,
-) -> LayoutTree:
-    if len(values) == 1:
-        return Leaf(rect, indices[0])
-    b1, b2 = reduce_to_two(values, stats)
-    first, second = split_rect(rect, b1.total)
-    cut = Cut.VERTICAL if rect.w > rect.h else Cut.HORIZONTAL
-    left = _build(
-        first,
-        [values[i] for i in b1.members],
-        [indices[i] for i in b1.members],
-        reduce_to_two,
-        stats,
-    )
-    right = _build(
-        second,
-        [values[i] for i in b2.members],
-        [indices[i] for i in b2.members],
-        reduce_to_two,
-        stats,
-    )
-    return Internal(rect, cut, left, right)
-
-
 def _partition(inst: Instance, reduce_to_two: Reducer, stats: ReductionStats | None) -> Layout:
+    # Each job is a rect with its block's sorted values and area indices.
+    # The second piece is pushed before the first, so the reductions and
+    # cuts run in preorder, the order tree_from_preorder reads the nodes in.
     values, perm = sort_descending(inst.areas)
-    tree = _build(inst.container, values, perm, reduce_to_two, stats)
-    return Layout.from_tree(tree, inst.n)
+    nodes: list[PreorderNode] = []
+    stack = [(inst.container, values, perm)]
+    while stack:
+        rect, values, indices = stack.pop()
+        if len(values) == 1:
+            nodes.append(Leaf(rect, indices[0]))
+            continue
+        b1, b2 = reduce_to_two(values, stats)
+        first, second = split_rect(rect, b1.total)
+        nodes.append((rect, Cut.VERTICAL if rect.w > rect.h else Cut.HORIZONTAL))
+        stack.append((second, [values[i] for i in b2.members], [indices[i] for i in b2.members]))
+        stack.append((first, [values[i] for i in b1.members], [indices[i] for i in b1.members]))
+    return Layout.from_tree(tree_from_preorder(nodes), inst.n)
 
 
 def partition_dc(inst: Instance, stats: ReductionStats | None = None) -> Layout:

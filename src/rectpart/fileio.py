@@ -36,15 +36,17 @@ from typing import Any
 
 from .bounds import QualityReport
 from .geometry import (
+    REL_TOL,
     Cut,
     Instance,
-    Internal,
     Layout,
     LayoutTree,
     Leaf,
+    PreorderNode,
     Rect,
     make_instance,
     preorder,
+    tree_from_preorder,
 )
 
 #: Format version written by :func:`serialize_layout`.
@@ -169,37 +171,38 @@ def _preorder_v1(root: Any) -> list:
     return out
 
 
-def _tree_from_preorder(nodes: list) -> LayoutTree:
-    """Rebuild a cut tree from its nodes in preorder.
+def _node_from_obj(obj: Any, i: int) -> PreorderNode:
+    if not isinstance(obj, dict):
+        raise FileFormatError(f"tree node {i} must be an object")
+    rect = _rect_from_obj(obj.get("rect"), f"tree node {i} rect")
+    if "index" in obj:
+        idx = obj["index"]
+        if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
+            raise FileFormatError(f"leaf index must be a non-negative integer, got {idx!r}")
+        return Leaf(rect, idx)
+    cut = obj.get("cut")
+    if cut not in (Cut.VERTICAL.value, Cut.HORIZONTAL.value):
+        raise FileFormatError(f'internal tree nodes need "cut" of "vertical" or "horizontal", got {cut!r}')
+    return rect, Cut(cut)
 
-    The list is scanned backwards, so both subtrees of a node are complete
-    on the stack, left on top, when the node is reached. A valid list leaves
-    exactly one tree on the stack.
-    """
-    if not nodes:
-        raise FileFormatError("tree needs at least one node")
-    stack: list[LayoutTree] = []
-    for i in range(len(nodes) - 1, -1, -1):
-        obj = nodes[i]
-        if not isinstance(obj, dict):
-            raise FileFormatError(f"tree node {i} must be an object")
-        rect = _rect_from_obj(obj.get("rect"), f"tree node {i} rect")
-        if "index" in obj:
-            idx = obj["index"]
-            if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
-                raise FileFormatError(f"leaf index must be a non-negative integer, got {idx!r}")
-            stack.append(Leaf(rect, idx))
+
+def _check_cuts(tree: LayoutTree) -> None:
+    """Reject internal nodes whose children do not tile them along their cut, left/top first."""
+    root = tree.rect
+    tol = REL_TOL * max(root.w, root.h)
+    for i, node in enumerate(preorder(tree)):
+        if isinstance(node, Leaf):
             continue
-        cut = obj.get("cut")
-        if cut not in (Cut.VERTICAL.value, Cut.HORIZONTAL.value):
-            raise FileFormatError(f'internal tree nodes need "cut" of "vertical" or "horizontal", got {cut!r}')
-        if len(stack) < 2:
-            raise FileFormatError(f"internal tree node {i} lacks a child")
-        left = stack.pop()
-        stack.append(Internal(rect, Cut(cut), left, stack.pop()))
-    if len(stack) != 1:
-        raise FileFormatError(f"tree nodes form {len(stack)} trees instead of one")
-    return stack[0]
+        r, a, b = node.rect, node.left.rect, node.right.rect
+        if node.cut is Cut.VERTICAL:
+            want = (r.x, r.y, a.w, r.h, r.x + a.w, r.y, r.w - a.w, r.h)
+        else:
+            want = (r.x, r.y + r.h - a.h, r.w, a.h, r.x, r.y, r.w, r.h - a.h)
+        got = (a.x, a.y, a.w, a.h, b.x, b.y, b.w, b.h)
+        if any(abs(g - w) > tol for g, w in zip(got, want)):
+            raise FileFormatError(
+                f"the children of tree node {i} do not tile it along its {node.cut.value} cut"
+            )
 
 
 def parse_layout(data: bytes | str) -> Layout:
@@ -207,7 +210,7 @@ def parse_layout(data: bytes | str) -> Layout:
 
     Every index 0..n-1 must appear exactly once in the rects. When a tree is
     present its leaves must cover 0..n-1 exactly once and agree with the flat
-    rect list exactly.
+    rect list exactly, and the children of every cut must tile it.
     """
     doc = _loads(data)
     if not isinstance(doc, dict) or "rects" not in doc:
@@ -237,11 +240,13 @@ def parse_layout(data: bytes | str) -> Layout:
         nodes = _preorder_v1(nodes)
     elif not isinstance(nodes, list):
         raise FileFormatError('"tree" must be a list of nodes in preorder')
-    tree = _tree_from_preorder(nodes)
+    parsed = [_node_from_obj(obj, i) for i, obj in enumerate(nodes)]
     try:
+        tree = tree_from_preorder(parsed)
         layout = Layout.from_tree(tree, n)
     except ValueError as e:
         raise FileFormatError(str(e)) from e
+    _check_cuts(tree)
     for i, (leaf_rect, rect) in enumerate(zip(layout.rects, rects)):
         if leaf_rect != rect:
             raise FileFormatError(f"rects[{i}] disagrees with its leaf")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -106,6 +106,42 @@ class Internal:
 
 
 LayoutTree = Union[Leaf, Internal]
+
+#: A cut-tree node listed in preorder before assembly: a leaf, or an
+#: internal node's (rect, cut) pair.
+PreorderNode = Union[Leaf, tuple[Rect, Cut]]
+
+
+def child_ids(nodes: Sequence[PreorderNode | Internal]) -> tuple[list[int], list[int]]:
+    """Left and right child ids of each node in a preorder listing, -1 for a
+    :class:`Leaf` (any other node is internal). Raises ValueError unless the
+    listing forms exactly one tree."""
+    left = [-1] * len(nodes)
+    right = [-1] * len(nodes)
+    stack: list[int] = []
+    # Scanning backwards completes both subtrees of a node, left on top,
+    # before the node itself is reached.
+    for i in range(len(nodes) - 1, -1, -1):
+        if not isinstance(nodes[i], Leaf):
+            if len(stack) < 2:
+                raise ValueError(f"internal tree node {i} lacks a child")
+            left[i] = stack.pop()
+            right[i] = stack.pop()
+        stack.append(i)
+    if len(stack) != 1:
+        raise ValueError(f"tree nodes form {len(stack)} trees instead of one")
+    return left, right
+
+
+def tree_from_preorder(nodes: Sequence[PreorderNode]) -> LayoutTree:
+    """The cut tree listed by ``nodes``: each parent, then its left subtree,
+    then its right subtree."""
+    left, right = child_ids(nodes)
+    built: list = list(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        if left[i] >= 0:
+            built[i] = Internal(*nodes[i], built[left[i]], built[right[i]])
+    return built[0]
 
 
 def preorder(tree: LayoutTree) -> list[LayoutTree]:

@@ -2,11 +2,12 @@
 
 Instead of merging exactly two entries per step, each reduction step computes
 the mean of the current working list and folds the whole tail below it into
-one block. When nothing qualifies (the strict minorant is missing, which only
-happens for an all-equal list, or it sits at the very front of the tail) the
-lower half of the list is folded instead. Each step removes at least one
-entry and usually many, so the reduction takes far fewer iterations than the
-pairwise rule; the resulting layouts carry no quality guarantee.
+one block. When nothing qualifies (no entry lies strictly below the mean, as
+in an all-equal list, whose rounded mean may even exceed every entry; or only
+the last entry does) the lower half of the list is folded instead. Each step
+removes at least one entry and usually many, so the reduction takes far fewer
+iterations than the pairwise rule; the resulting layouts carry no quality
+guarantee.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .dc import Block, ReductionStats, _insert_sorted, _partition
+from .dc import Block, ReductionStats, _insertion_point, _partition
 from .geometry import Instance, Layout
 
 
@@ -25,18 +26,20 @@ def mdc_reduce_step(
 
     Let tau be the mean of the current entries and i the first 1-based
     position strictly below tau. The tail from m = i is folded into a single
-    entry, except when i does not exist (all entries equal) or i is the last
-    position, in which case m = ceil(length / 2). The folded entry is
-    reinserted where it keeps the list sorted, ties after equal entries.
-    Returns the shortened list and the matching block list.
+    entry, except when i does not exist (all entries equal), is the first
+    position or is the last, in which case m = ceil(length / 2). The folded
+    entry is reinserted where it keeps the list sorted, ties after equal
+    entries. Returns the shortened list and the matching block list.
     """
     k = len(sorted_areas)
     if k <= 2:
         raise ValueError("reduction step needs more than two entries")
     tau = math.fsum(sorted_areas) / k
-    # The head is never strictly below the mean, so i >= 2 whenever it exists.
+    # The head is never below the exact mean, but the rounded mean of an
+    # all-equal list can exceed it (three 0.2s average 0.20000000000000004),
+    # so i = 1 counts as a missing minorant.
     i = next((j + 1 for j, a in enumerate(sorted_areas) if a < tau), None)
-    if i is not None and i < k:
+    if i is not None and 1 < i < k:
         m = i
     else:
         m = (k + 1) // 2
@@ -45,7 +48,11 @@ def mdc_reduce_step(
     for b in blocks[m - 1 :]:
         members.extend(b.members)
     merged = Block(tuple(sorted(members)), value)
-    return _insert_sorted(list(sorted_areas[: m - 1]), list(blocks[: m - 1]), value, merged)
+    pos = _insertion_point(sorted_areas[: m - 1], value)
+    return (
+        [*sorted_areas[:pos], value, *sorted_areas[pos : m - 1]],
+        [*blocks[:pos], merged, *blocks[pos : m - 1]],
+    )
 
 
 def _reduce_below_mean(
@@ -67,7 +74,7 @@ def _reduce_below_mean(
 def partition_mdc(inst: Instance, stats: ReductionStats | None = None) -> Layout:
     """Lay out ``inst`` with the threshold-bundling rule.
 
-    Same recursion skeleton and cut conventions as
-    :func:`rectpart.dc.partition_dc`; only the reduction rule differs.
+    Same placer and cut conventions as :func:`rectpart.dc.partition_dc`;
+    only the reduction rule differs.
     """
     return _partition(inst, _reduce_below_mean, stats)

@@ -6,9 +6,8 @@ import math
 
 import numpy as np
 
-from rectpart import Cut, GenSpec, Internal, Layout, Leaf, Rect, aspect_ratio, generate
-from rectpart.bounds import _index_tree
-from rectpart.geometry import OVERLAP_REL_TOL, REL_TOL, LayoutDiagnostics
+from rectpart import Cut, GenSpec, Internal, Layout, Leaf, Rect, aspect_ratio, generate, preorder
+from rectpart.geometry import OVERLAP_REL_TOL, REL_TOL, LayoutDiagnostics, child_ids
 
 
 def geometric_chain(n=600):
@@ -41,7 +40,8 @@ def node_invariants(inst, layout):
     area claims more than two thirds of the parent.
     ar: every node's aspect ratio stays under consecutive_ratio_cap.
     """
-    nodes, left_id, right_id = _index_tree(layout.tree)
+    nodes = preorder(layout.tree)
+    left_id, right_id = child_ids(nodes)
     count = len(nodes)
     amax = [0.0] * count
     for i in range(count - 1, -1, -1):
@@ -68,7 +68,8 @@ def node_invariants(inst, layout):
 
 def parent_ids(tree):
     """parent id per preorder node id, -1 for the root."""
-    nodes, left_id, right_id = _index_tree(tree)
+    nodes = preorder(tree)
+    left_id, right_id = child_ids(nodes)
     parents = [-1] * len(nodes)
     for i in range(len(nodes)):
         if left_id[i] >= 0:

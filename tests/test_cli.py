@@ -10,6 +10,7 @@ import pytest
 import rectpart as rp
 from rectpart import cli
 from rectpart.cli import cli_main
+from rectpart.geometry import child_ids
 
 from conftest import geometric_chain
 
@@ -160,19 +161,43 @@ def test_recursion_error_exits_three(halves_file, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_deep_chain_gets_an_exit_code(tmp_path, capsys):
-    """A valid deep chain either lays out or fails as an internal error,
-    never with an exception escaping the CLI."""
+def test_unexpected_exception_exits_three(halves_file, monkeypatch, capsys):
+    def broken(inst):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(cli, "partition_mdc", broken)
+    assert cli_main(["partition", "--algo", "mdc", "--input", str(halves_file)]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: IndexError: list index out of range\n"
+
+
+def test_unwritable_output_exits_one(halves_file, tmp_path, capsys):
+    assert cli_main(["partition", "--algo", "dc", "--input", str(halves_file),
+                     "--output", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_mdc_lays_out_equal_areas(tmp_path):
+    inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.2] * 5)
+    path = tmp_path / "fifths.json"
+    path.write_bytes(rp.serialize_instance(inst))
+    layout = tmp_path / "layout.json"
+    assert cli_main(["partition", "--algo", "mdc", "--input", str(path),
+                     "--output", str(layout)]) == 0
+    assert rp.validate_layout(inst, rp.parse_layout(layout.read_bytes())).ok
+
+
+def test_deep_chain_gets_an_exit_code(tmp_path):
+    """A valid chain deeper than the default recursion limit lays out."""
     inst = rp.generate(
         rp.GenSpec(n=1000, family="geometric", seed=1, container=rp.Rect(0, 0, 1, 1), q=0.5)
     )
     path = tmp_path / "chain.json"
     path.write_bytes(rp.serialize_instance(inst))
-    code = cli_main(["partition", "--algo", "mdc", "--input", str(path),
-                     "--output", str(tmp_path / "layout.json")])
-    assert code in (0, 3)
-    if code == 3:
-        assert capsys.readouterr().err.startswith("internal error: ")
+    layout = tmp_path / "layout.json"
+    assert cli_main(["partition", "--algo", "mdc", "--input", str(path),
+                     "--output", str(layout)]) == 0
+    assert rp.validate_layout(inst, rp.parse_layout(layout.read_bytes())).ok
 
 
 def test_partition_and_eval_validate_once(halves_file, tmp_path, monkeypatch):
@@ -219,6 +244,30 @@ def test_eval_rejects_tree_that_does_not_tile(halves_file, tmp_path, capsys, dat
     layout = tmp_path / "layout.json"
     layout.write_bytes(data)
     assert cli_main(["eval", "--instance", str(halves_file), "--layout", str(layout),
+                     "--output", str(tmp_path / "eval.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_rejects_forged_cuts(tmp_path, capsys):
+    # Every internal node carries its right child's rect. The leaves still
+    # tile the container, so only the cut check catches it; accepted, the
+    # forced-aware bound read 4.34568, above the guillotine optimum 4.25767.
+    inst = rp.generate(
+        rp.GenSpec(n=5, family="geometric", seed=2, container=rp.Rect(0, 0, 1, 1), q=0.6)
+    )
+    layout = rp.partition_dc(inst)
+    doc = json.loads(rp.serialize_layout(layout, include_tree=True))
+    _, right_id = child_ids(rp.preorder(layout.tree))
+    for i, node in enumerate(doc["tree"]):
+        if "cut" in node:
+            node["rect"] = doc["tree"][right_id[i]]["rect"]
+    data = json.dumps(doc).encode()
+    with pytest.raises(rp.FileFormatError, match="do not tile"):
+        rp.parse_layout(data)
+    inst_path, layout_path = tmp_path / "inst.json", tmp_path / "layout.json"
+    inst_path.write_bytes(rp.serialize_instance(inst))
+    layout_path.write_bytes(data)
+    assert cli_main(["eval", "--instance", str(inst_path), "--layout", str(layout_path),
                      "--output", str(tmp_path / "eval.json")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 

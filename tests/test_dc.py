@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import rectpart as rp
@@ -95,3 +97,25 @@ def test_reduction_stats_counts_top_level():
     stats = ReductionStats()
     rp.bipartition_two_smallest([5.0, 4.0, 3.0, 2.0, 1.0], stats)
     assert stats.iterations == 3
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+@pytest.mark.parametrize("partition", [rp.partition_dc, rp.partition_mdc], ids=["dc", "mdc"])
+def test_deep_chain_needs_no_recursion(partition):
+    # A chain about 300 cuts deep, laid out with only 100 frames to spare.
+    inst = rp.generate(
+        rp.GenSpec(n=300, family="geometric", seed=1, container=rp.Rect(0, 0, 1, 1), q=0.5)
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        layout = partition(inst)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rp.validate_layout(inst, layout).ok

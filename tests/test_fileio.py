@@ -95,13 +95,14 @@ _ROOT = {"cut": "horizontal", "rect": {"x": 0, "y": 0, "width": 1, "height": 1}}
     (2, [_ROOT, _LEAF0]),
     (2, [_ROOT, _LEAF0, _LEAF1, _LEAF1]),
     (2, [_LEAF0, _ROOT, _LEAF1]),
+    (2, [_ROOT, _LEAF1, _LEAF0]),
     (2, [_ROOT, "leaf", _LEAF1]),
     (2, {**_ROOT, "left": _LEAF0, "right": _LEAF1}),
     (1, [_ROOT, _LEAF0, _LEAF1]),
     (1, {**_ROOT, "left": _LEAF0}),
     (3, [_ROOT, _LEAF0, _LEAF1]),
     ("2", [_ROOT, _LEAF0, _LEAF1]),
-], ids=["empty", "missing-child", "leftover-node", "leaf-first", "non-object",
+], ids=["empty", "missing-child", "leftover-node", "leaf-first", "bottom-first", "non-object",
         "v2-nested", "v1-list", "v1-missing-child", "unknown-version", "string-version"])
 def test_parse_layout_rejects_malformed_trees(version, tree):
     doc = json.loads(rp.serialize_layout(rp.partition_dc(rp.make_instance(rp.Rect(0, 0, 1, 1), [0.5, 0.5]))))

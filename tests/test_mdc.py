@@ -26,6 +26,10 @@ def test_reduce_step_all_equal_folds_half():
     values, blocks = rp.mdc_reduce_step([2.0, 2.0, 2.0, 2.0], _singletons([2, 2, 2, 2]))
     assert values == [6.0, 2.0]
     assert [b.members for b in blocks] == [(1, 2, 3), (0,)]
+    # the rounded mean of three 0.2s, 0.20000000000000004, is above every entry
+    values, blocks = rp.mdc_reduce_step([0.2] * 3, _singletons([0.2] * 3))
+    assert values == [0.4, 0.2]
+    assert [b.members for b in blocks] == [(1, 2), (0,)]
 
 
 def test_reduce_step_minorant_at_tail_folds_half():
@@ -50,6 +54,19 @@ def test_reduce_step_properties(raw):
     assert members == list(range(len(values)))
     for b in new_blocks:
         assert b.total == pytest.approx(sum(values[i] for i in b.members), rel=1e-12)
+
+
+def test_partition_mdc_five_equal_areas():
+    inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.2] * 5)
+    assert rp.validate_layout(inst, rp.partition_mdc(inst)).ok
+
+
+@given(st.floats(min_value=1e-3, max_value=1e3), st.integers(min_value=2, max_value=60))
+def test_partition_mdc_equal_areas(area, n):
+    inst = rp.make_instance(rp.Rect(0, 0, n * area, 1), [area] * n)
+    stats = ReductionStats()
+    assert rp.validate_layout(inst, rp.partition_mdc(inst, stats)).ok
+    assert stats.iterations <= stats.pairwise_equivalent
 
 
 def test_partition_mdc_halves_matches_dc():
