@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .geometry import Cut, Instance, Layout, Leaf, PreorderNode, split_rect, tree_from_preorder
+from .geometry import Instance, Layout, Leaf, PreorderNode, cut_for, split_rect, tree_from_preorder
 
 #: Worst-case ratio between the produced total half-perimeter and the best
 #: possible one, over all instances.
@@ -66,6 +66,35 @@ def _insertion_point(values: list[float], value: float) -> int:
     return len(values) - bisect.bisect_left(values[::-1], value)
 
 
+Step = Callable[[list[float], list[tuple[int, ...]]], tuple[list[float], list[tuple[int, ...]]]]
+
+
+def _reduce(
+    step: Step, sorted_areas: Sequence[float], stats: ReductionStats | None
+) -> tuple[Block, Block]:
+    # Both rules reduce here; each step must shorten both lists by at least one.
+    if len(sorted_areas) < 2:
+        raise ValueError("need at least two areas to bipartition")
+    if stats is not None:
+        stats.pairwise_equivalent += len(sorted_areas) - 2
+    values = list(sorted_areas)
+    members: list[tuple[int, ...]] = [(i,) for i in range(len(values))]
+    while len(values) > 2:
+        values, members = step(values, members)
+        if stats is not None:
+            stats.iterations += 1
+    return Block(members[0], values[0]), Block(members[1], values[1])
+
+
+def _merge_two_smallest(values: list[float], members: list[tuple[int, ...]]):
+    value = values[-2] + values[-1]
+    merged = tuple(sorted(members[-2] + members[-1]))
+    rest_v = values[:-2]
+    rest_m = members[:-2]
+    pos = _insertion_point(rest_v, value)
+    return rest_v[:pos] + [value] + rest_v[pos:], rest_m[:pos] + [merged] + rest_m[pos:]
+
+
 def bipartition_two_smallest(
     sorted_areas: Sequence[float], stats: ReductionStats | None = None
 ) -> tuple[Block, Block]:
@@ -76,23 +105,7 @@ def bipartition_two_smallest(
     Returns the blocks in working-list order, so the first total is >= the
     second. Raises ValueError for lists shorter than two.
     """
-    if len(sorted_areas) < 2:
-        raise ValueError("need at least two areas to bipartition")
-    if stats is not None:
-        stats.pairwise_equivalent += len(sorted_areas) - 2
-    values = list(sorted_areas)
-    members: list[tuple[int, ...]] = [(i,) for i in range(len(values))]
-    while len(values) > 2:
-        value = values[-2] + values[-1]
-        merged = tuple(sorted(members[-2] + members[-1]))
-        rest_v = values[:-2]
-        rest_m = members[:-2]
-        pos = _insertion_point(rest_v, value)
-        values = rest_v[:pos] + [value] + rest_v[pos:]
-        members = rest_m[:pos] + [merged] + rest_m[pos:]
-        if stats is not None:
-            stats.iterations += 1
-    return Block(members[0], values[0]), Block(members[1], values[1])
+    return _reduce(_merge_two_smallest, sorted_areas, stats)
 
 
 Reducer = Callable[[Sequence[float], "ReductionStats | None"], tuple[Block, Block]]
@@ -112,7 +125,7 @@ def _partition(inst: Instance, reduce_to_two: Reducer, stats: ReductionStats | N
             continue
         b1, b2 = reduce_to_two(values, stats)
         first, second = split_rect(rect, b1.total)
-        nodes.append((rect, Cut.VERTICAL if rect.w > rect.h else Cut.HORIZONTAL))
+        nodes.append((rect, cut_for(rect)))
         stack.append((second, [values[i] for i in b2.members], [indices[i] for i in b2.members]))
         stack.append((first, [values[i] for i in b1.members], [indices[i] for i in b1.members]))
     return Layout.from_tree(tree_from_preorder(nodes), inst.n)

@@ -243,13 +243,10 @@ def parse_layout(data: bytes | str) -> Layout:
     parsed = [_node_from_obj(obj, i) for i, obj in enumerate(nodes)]
     try:
         tree = tree_from_preorder(parsed)
-        layout = Layout.from_tree(tree, n)
+        layout = Layout(rects, tree)
     except ValueError as e:
         raise FileFormatError(str(e)) from e
     _check_cuts(tree)
-    for i, (leaf_rect, rect) in enumerate(zip(layout.rects, rects)):
-        if leaf_rect != rect:
-            raise FileFormatError(f"rects[{i}] disagrees with its leaf")
     return layout
 
 

@@ -56,34 +56,38 @@ def aspect_ratio(r: Rect) -> float:
     return max(r.w / r.h, r.h / r.w)
 
 
-def split_rect(q: Rect, a1: float) -> tuple[Rect, Rect]:
-    """Cut ``q`` into two pieces, the first of which has area ``a1``.
-
-    A wide rectangle (w > h) gets a vertical cut with the first piece on the
-    left; otherwise the cut is horizontal and the first piece is on top.
-    The two pieces tile ``q`` exactly: the second piece takes whatever extent
-    remains, so no coordinate drift accumulates.
-    """
-    if not 0.0 < a1 < q.area:
-        raise ValueError(f"first-piece area {a1} must lie strictly inside (0, {q.area})")
-    if q.w > q.h:
-        w1 = a1 / q.h
-        return (
-            Rect(q.x, q.y, w1, q.h),
-            Rect(q.x + w1, q.y, q.w - w1, q.h),
-        )
-    h1 = a1 / q.w
-    return (
-        Rect(q.x, q.y + (q.h - h1), q.w, h1),
-        Rect(q.x, q.y, q.w, q.h - h1),
-    )
-
-
 class Cut(Enum):
     """Orientation of a guillotine cut."""
 
     VERTICAL = "vertical"
     HORIZONTAL = "horizontal"
+
+
+def cut_for(q: Rect) -> Cut:
+    """The partitioners' cut for ``q``: vertical when it is wider than tall,
+    horizontal otherwise."""
+    return Cut.VERTICAL if q.w > q.h else Cut.HORIZONTAL
+
+
+def cut_rect(q: Rect, cut: Cut, a1: float) -> tuple[Rect, Rect]:
+    """Cut ``q`` along ``cut`` into two pieces, the first of which has area
+    ``a1``: the left piece of a vertical cut, the top piece of a horizontal one.
+
+    The two pieces tile ``q`` exactly: the second piece takes whatever extent
+    remains, so no coordinate drift accumulates.
+    """
+    if not 0.0 < a1 < q.area:
+        raise ValueError(f"first-piece area {a1} must lie strictly inside (0, {q.area})")
+    if cut is Cut.VERTICAL:
+        w1 = a1 / q.h
+        return Rect(q.x, q.y, w1, q.h), Rect(q.x + w1, q.y, q.w - w1, q.h)
+    h1 = a1 / q.w
+    return Rect(q.x, q.y + (q.h - h1), q.w, h1), Rect(q.x, q.y, q.w, q.h - h1)
+
+
+def split_rect(q: Rect, a1: float) -> tuple[Rect, Rect]:
+    """:func:`cut_rect` along :func:`cut_for`; the first piece has area ``a1``."""
+    return cut_rect(q, cut_for(q), a1)
 
 
 @dataclass(frozen=True)
@@ -237,26 +241,31 @@ class Layout:
         return hash((self.rects, self._tree_key()))
 
     def __post_init__(self) -> None:
-        if self.tree is not None:
-            for leaf in iter_leaves(self.tree):
-                if not 0 <= leaf.area_index < len(self.rects):
-                    raise ValueError(f"leaf index {leaf.area_index} out of range")
-                if self.rects[leaf.area_index] != leaf.rect:
-                    raise ValueError(f"rects[{leaf.area_index}] disagrees with its leaf")
+        # Coverage before agreement: from_tree keeps the last of two leaves
+        # with one index, so the first would otherwise read as a disagreement.
+        if self.tree is None:
+            return
+        n = len(self.rects)
+        leaves = list(iter_leaves(self.tree))
+        seen = [False] * n
+        for leaf in leaves:
+            if not 0 <= leaf.area_index < n:
+                raise ValueError(f"leaf index {leaf.area_index} out of range for n={n}")
+            if seen[leaf.area_index]:
+                raise ValueError(f"area index {leaf.area_index} appears in two leaves")
+            seen[leaf.area_index] = True
+        if not all(seen):
+            missing = [i for i, hit in enumerate(seen) if not hit]
+            raise ValueError(f"tree has no leaf for area indices {missing}")
+        for leaf in leaves:
+            if self.rects[leaf.area_index] != leaf.rect:
+                raise ValueError(f"rects[{leaf.area_index}] disagrees with its leaf")
 
     @classmethod
     def from_tree(cls, tree: LayoutTree, n: int) -> "Layout":
-        slots: list[Rect | None] = [None] * n
-        for leaf in iter_leaves(tree):
-            if not 0 <= leaf.area_index < n:
-                raise ValueError(f"leaf index {leaf.area_index} out of range for n={n}")
-            if slots[leaf.area_index] is not None:
-                raise ValueError(f"area index {leaf.area_index} appears in two leaves")
-            slots[leaf.area_index] = leaf.rect
-        if any(r is None for r in slots):
-            missing = [i for i, r in enumerate(slots) if r is None]
-            raise ValueError(f"tree has no leaf for area indices {missing}")
-        return cls(tuple(slots), tree)  # type: ignore[arg-type]
+        """The layout of the tree's leaves; raises ValueError unless they cover 0..n-1 once."""
+        rects = {leaf.area_index: leaf.rect for leaf in iter_leaves(tree)}
+        return cls(tuple(rects.get(i) for i in range(n)), tree)  # type: ignore[arg-type]
 
     def total_half_perimeter(self) -> float:
         return math.fsum(r.w + r.h for r in self.rects)

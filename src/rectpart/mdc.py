@@ -13,10 +13,31 @@ guarantee.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Sequence
 
-from .dc import Block, ReductionStats, _insertion_point, _partition
+from .dc import Block, ReductionStats, _insertion_point, _partition, _reduce
 from .geometry import Instance, Layout
+
+
+def _fold_below_mean(values: list[float], members: list[tuple[int, ...]]):
+    k = len(values)
+    tau = math.fsum(values) / k
+    # The head is never below the exact mean, but the rounded mean of an
+    # all-equal list can exceed it (three 0.2s average 0.20000000000000004),
+    # so i = 1 counts as a missing minorant.
+    i = next((j + 1 for j, a in enumerate(values) if a < tau), None)
+    if i is not None and 1 < i < k:
+        m = i
+    else:
+        m = (k + 1) // 2
+    value = math.fsum(values[m - 1 :])
+    merged = tuple(sorted(chain.from_iterable(members[m - 1 :])))
+    pos = _insertion_point(values[: m - 1], value)
+    return (
+        [*values[:pos], value, *values[pos : m - 1]],
+        [*members[:pos], merged, *members[pos : m - 1]],
+    )
 
 
 def mdc_reduce_step(
@@ -29,46 +50,20 @@ def mdc_reduce_step(
     entry, except when i does not exist (all entries equal), is the first
     position or is the last, in which case m = ceil(length / 2). The folded
     entry is reinserted where it keeps the list sorted, ties after equal
-    entries. Returns the shortened list and the matching block list.
+    entries. Returns the shortened list and the matching block list, whose
+    totals are the entries of the shortened list. Raises ValueError unless
+    ``blocks`` has one block per entry.
     """
-    k = len(sorted_areas)
-    if k <= 2:
+    if len(sorted_areas) <= 2:
         raise ValueError("reduction step needs more than two entries")
-    tau = math.fsum(sorted_areas) / k
-    # The head is never below the exact mean, but the rounded mean of an
-    # all-equal list can exceed it (three 0.2s average 0.20000000000000004),
-    # so i = 1 counts as a missing minorant.
-    i = next((j + 1 for j, a in enumerate(sorted_areas) if a < tau), None)
-    if i is not None and 1 < i < k:
-        m = i
-    else:
-        m = (k + 1) // 2
-    value = math.fsum(sorted_areas[m - 1 :])
-    members: list[int] = []
-    for b in blocks[m - 1 :]:
-        members.extend(b.members)
-    merged = Block(tuple(sorted(members)), value)
-    pos = _insertion_point(sorted_areas[: m - 1], value)
-    return (
-        [*sorted_areas[:pos], value, *sorted_areas[pos : m - 1]],
-        [*blocks[:pos], merged, *blocks[pos : m - 1]],
-    )
+    if len(blocks) != len(sorted_areas):
+        raise ValueError(f"{len(blocks)} blocks for {len(sorted_areas)} entries")
+    values, members = _fold_below_mean(list(sorted_areas), [b.members for b in blocks])
+    return values, [Block(m, v) for m, v in zip(members, values)]
 
 
-def _reduce_below_mean(
-    sorted_areas: Sequence[float], stats: ReductionStats | None = None
-) -> tuple[Block, Block]:
-    if len(sorted_areas) < 2:
-        raise ValueError("need at least two areas to bipartition")
-    if stats is not None:
-        stats.pairwise_equivalent += len(sorted_areas) - 2
-    values = list(sorted_areas)
-    blocks = [Block((i,), a) for i, a in enumerate(values)]
-    while len(values) > 2:
-        values, blocks = mdc_reduce_step(values, blocks)
-        if stats is not None:
-            stats.iterations += 1
-    return blocks[0], blocks[1]
+def _reduce_below_mean(sorted_areas: Sequence[float], stats: ReductionStats | None = None):
+    return _reduce(_fold_below_mean, sorted_areas, stats)
 
 
 def partition_mdc(inst: Instance, stats: ReductionStats | None = None) -> Layout:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 
-from .geometry import Cut, Instance, Internal, Layout, LayoutTree, Leaf, Rect
+from .dc import sort_descending
+from .geometry import Cut, Instance, Internal, Layout, LayoutTree, Leaf, Rect, cut_rect
 
 
 class OracleSizeError(RuntimeError):
@@ -38,8 +39,7 @@ def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
     if n > max_n:
         raise OracleSizeError(f"exhaustive search refused for n={n} > max_n={max_n}")
 
-    order = sorted(range(n), key=lambda i: (-inst.areas[i], i))
-    items = tuple((float(inst.areas[i]), i) for i in order)
+    items = tuple(zip(*sort_descending(inst.areas)))
 
     memo: dict[tuple, float] = {}
 
@@ -96,20 +96,13 @@ def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
             s1 = math.fsum(v for v, _ in g1)
             v1 = tuple(v for v, _ in g1)
             v2 = tuple(v for v, _ in g2)
-            w1 = s1 / rect.h
-            if best(v1, w1, rect.h) + best(v2, rect.w - w1, rect.h) <= target + eps:
-                left = Rect(rect.x, rect.y, w1, rect.h)
-                right = Rect(rect.x + w1, rect.y, rect.w - w1, rect.h)
-                return Internal(
-                    rect, Cut.VERTICAL, rebuild(tuple(g1), left), rebuild(tuple(g2), right)
-                )
-            h1 = s1 / rect.w
-            if best(v1, rect.w, h1) + best(v2, rect.w, rect.h - h1) <= target + eps:
-                top = Rect(rect.x, rect.y + (rect.h - h1), rect.w, h1)
-                bottom = Rect(rect.x, rect.y, rect.w, rect.h - h1)
-                return Internal(
-                    rect, Cut.HORIZONTAL, rebuild(tuple(g1), top), rebuild(tuple(g2), bottom)
-                )
+            for cut in (Cut.VERTICAL, Cut.HORIZONTAL):
+                try:
+                    a, b = cut_rect(rect, cut, s1)
+                except ValueError:
+                    continue  # rounding leaves one of the pieces no extent
+                if best(v1, a.w, a.h) + best(v2, b.w, b.h) <= target + eps:
+                    return Internal(rect, cut, rebuild(tuple(g1), a), rebuild(tuple(g2), b))
         raise AssertionError("memoized optimum could not be reproduced")
 
     value = best(tuple(v for v, _ in items), inst.container.w, inst.container.h)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rectpart as rp
 from rectpart import geometry
@@ -42,6 +42,7 @@ def test_rect_rejects_bad_fields():
 
 
 def test_split_rect_wide_cuts_vertically():
+    assert geometry.cut_for(rp.Rect(0, 0, 2, 1)) is rp.Cut.VERTICAL
     first, second = rp.split_rect(rp.Rect(0, 0, 2, 1), 1.2)
     assert first == rp.Rect(0, 0, 1.2, 1)
     assert second.x == pytest.approx(1.2) and second.w == pytest.approx(0.8)
@@ -49,12 +50,14 @@ def test_split_rect_wide_cuts_vertically():
 
 
 def test_split_rect_square_cuts_horizontally_top_first():
+    assert geometry.cut_for(rp.Rect(0, 0, 1, 1)) is rp.Cut.HORIZONTAL
     first, second = rp.split_rect(rp.Rect(0, 0, 1, 1), 0.5)
     assert first == rp.Rect(0, 0.5, 1, 0.5)
     assert second == rp.Rect(0, 0, 1, 0.5)
 
 
 def test_split_rect_tall_cuts_horizontally():
+    assert geometry.cut_for(rp.Rect(0, 0, 1, 3)) is rp.Cut.HORIZONTAL
     first, second = rp.split_rect(rp.Rect(0, 0, 1, 3), 1.0)
     assert first == rp.Rect(0, 2.0, 1, 1.0)
     assert second == rp.Rect(0, 0, 1, 2.0)
@@ -88,19 +91,24 @@ def test_half_perimeter_strictly_above_floor_for_non_squares():
 
 
 @given(rect_st, st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
+@example(rp.Rect(0.5, 1.0, 3.0, 1.0), 0.3)  # wide
+@example(rp.Rect(0.5, 1.0, 1.0, 3.0), 0.3)  # tall
+@example(rp.Rect(0.5, 1.0, 2.0, 2.0), 0.3)  # square
 def test_split_rect_tiles_exactly(r, frac):
     a1 = r.area * frac
-    first, second = rp.split_rect(r, a1)
-    assert first.area == pytest.approx(a1, rel=1e-12)
-    assert first.area + second.area == pytest.approx(r.area, rel=1e-11)
-    if r.w > r.h:
-        assert first.h == r.h == second.h and first.y == r.y == second.y
-        assert first.x == r.x and second.x == first.x + first.w
-        assert first.w + second.w == pytest.approx(r.w, rel=1e-12)
-    else:
-        assert first.w == r.w == second.w and first.x == r.x == second.x
-        assert second.y == r.y and first.y == second.y + second.h
-        assert first.h + second.h == pytest.approx(r.h, rel=1e-12)
+    assert rp.split_rect(r, a1) == geometry.cut_rect(r, geometry.cut_for(r), a1)
+    for cut in rp.Cut:
+        first, second = geometry.cut_rect(r, cut, a1)
+        assert first.area == pytest.approx(a1, rel=1e-12)
+        assert first.area + second.area == pytest.approx(r.area, rel=1e-11)
+        if cut is rp.Cut.VERTICAL:
+            assert first.h == r.h == second.h and first.y == r.y == second.y
+            assert first.x == r.x and second.x == first.x + first.w
+            assert first.w + second.w == pytest.approx(r.w, rel=1e-12)
+        else:
+            assert first.w == r.w == second.w and first.x == r.x == second.x
+            assert second.y == r.y and first.y == second.y + second.h
+            assert first.h + second.h == pytest.approx(r.h, rel=1e-12)
 
 
 def test_instance_requires_matching_sum():
@@ -167,8 +175,16 @@ def test_validate_layout_flags_escapees():
 
 def test_layout_from_tree_checks_indices():
     r = rp.Rect(0, 0, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
         rp.Layout.from_tree(rp.Leaf(r, 1), 1)
+    top, bottom = rp.Rect(0, 0.5, 1, 0.5), rp.Rect(0, 0, 1, 0.5)
+    double = rp.Internal(r, rp.Cut.HORIZONTAL, rp.Leaf(top, 0), rp.Leaf(bottom, 0))
+    with pytest.raises(ValueError, match="appears in two leaves"):
+        rp.Layout.from_tree(double, 2)
+    with pytest.raises(ValueError, match=r"no leaf for area indices \[1\]"):
+        rp.Layout.from_tree(rp.Leaf(r, 0), 2)
+    with pytest.raises(ValueError, match=r"rects\[0\] disagrees"):
+        rp.Layout((top,), rp.Leaf(r, 0))
     lay = rp.Layout.from_tree(rp.Leaf(r, 0), 1)
     assert lay.rects == (r,)
 

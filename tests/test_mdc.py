@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import rectpart as rp
 from rectpart.dc import Block, ReductionStats
+from rectpart.mdc import _reduce_below_mean
 
 
 def _singletons(values):
@@ -42,6 +43,31 @@ def test_reduce_step_minorant_at_tail_folds_half():
 def test_reduce_step_rejects_short_lists():
     with pytest.raises(ValueError):
         rp.mdc_reduce_step([2.0, 1.0], _singletons([2, 1]))
+
+
+def test_reduce_step_rejects_mismatched_blocks():
+    with pytest.raises(ValueError, match="1 blocks for 3 entries"):
+        rp.mdc_reduce_step([3.0, 2.0, 1.0], [Block((0,), 3.0)])
+    with pytest.raises(ValueError):
+        rp.mdc_reduce_step([3.0, 2.0, 1.0], _singletons([3, 2, 1, 1]))
+
+
+@given(
+    st.lists(
+        st.sampled_from([0.2, 1.0, 2.0]) | st.floats(min_value=1e-3, max_value=1e3),
+        min_size=2,
+        max_size=40,
+    )
+)
+@example([0.2] * 3)
+@example([1.0] * 8)
+@example([3.0, 3.0, 2.0, 2.0, 1.0, 1.0])
+def test_public_step_folds_like_partition_reducer(raw):
+    values = sorted(raw, reverse=True)
+    blocks = _singletons(values)
+    while len(values) > 2:
+        values, blocks = rp.mdc_reduce_step(values, blocks)
+    assert tuple(blocks) == _reduce_below_mean(sorted(raw, reverse=True), None)
 
 
 @given(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=3, max_size=40))
