@@ -143,40 +143,14 @@ def detect_forced(
     return {i for i in range(n_nodes) if forced[i]}
 
 
-def _bounds_with_flags(inst: Instance, layout: Layout) -> tuple[float, float, list[bool]]:
-    naive = math.fsum(2.0 * math.sqrt(a) for a in inst.areas)
-    flags = [False] * inst.n
-    tree = layout.tree
-    if tree is None and inst.n == 1:
-        # A flat single-pane layout is the container itself, hence forced.
-        tree = Leaf(layout.rects[0], 0)
-    if tree is not None:
-        forced = detect_forced(tree, inst.areas)
-        for node_id, node in enumerate(preorder(tree)):
-            if node_id in forced and isinstance(node, Leaf):
-                flags[node.area_index] = True
-    forced_aware = math.fsum(
-        (r.w + r.h) if flags[i] else 2.0 * math.sqrt(inst.areas[i])
-        for i, r in enumerate(layout.rects)
-    )
-    return naive, forced_aware, flags
-
-
-def _require_valid(inst: Instance, layout: Layout) -> None:
-    diag = validate_layout(inst, layout)
-    if not diag.ok:
-        raise ValueError(f"layout does not satisfy the instance: {diag}")
-
-
 def lower_bound(inst: Instance, layout: Layout) -> tuple[float, float]:
     """(naive, forced-aware) lower bounds on the total half-perimeter.
 
     The naive bound is layout-free: sum of 2*sqrt(A_i). The forced-aware
     bound swaps in width + height for panes the layout's own tree pins.
     """
-    _require_valid(inst, layout)
-    naive, forced_aware, _ = _bounds_with_flags(inst, layout)
-    return naive, forced_aware
+    rep = report(inst, layout)
+    return rep.naive_lower_bound, rep.forced_aware_lower_bound
 
 
 @dataclass(frozen=True)
@@ -203,21 +177,35 @@ class QualityReport:
 
 def report(inst: Instance, layout: Layout) -> QualityReport:
     """Full quality report; ``approx_ratio`` is total over the forced-aware bound."""
-    _require_valid(inst, layout)
+    diag = validate_layout(inst, layout)
+    if not diag.ok:
+        raise ValueError(f"layout does not satisfy the instance: {diag}")
     return _report_valid(inst, layout)
 
 
 def _report_valid(inst: Instance, layout: Layout) -> QualityReport:
     """:func:`report` for a layout the caller has already validated."""
-    naive, forced_aware, flags = _bounds_with_flags(inst, layout)
+    flags = [False] * inst.n
+    tree = layout.tree
+    if tree is None and inst.n == 1:
+        # A flat single-pane layout is the container itself, hence forced.
+        tree = Leaf(layout.rects[0], 0)
+    if tree is not None:
+        forced = detect_forced(tree, inst.areas)
+        for node_id, node in enumerate(preorder(tree)):
+            if node_id in forced and isinstance(node, Leaf):
+                flags[node.area_index] = True
     per = tuple(
         PaneQuality(i, half_perimeter(r), aspect_ratio(r), flags[i])
         for i, r in enumerate(layout.rects)
     )
+    forced_aware = math.fsum(
+        p.half_perimeter if p.forced else 2.0 * math.sqrt(a) for p, a in zip(per, inst.areas)
+    )
     total = layout.total_half_perimeter()
     return QualityReport(
         total_half_perimeter=total,
-        naive_lower_bound=naive,
+        naive_lower_bound=math.fsum(2.0 * math.sqrt(a) for a in inst.areas),
         forced_aware_lower_bound=forced_aware,
         approx_ratio=total / forced_aware,
         max_aspect_ratio=max(p.aspect_ratio for p in per),

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 invalid input, usage or an unreadable or unwritable
 file, 2 guard refusal (instance too large for the exact solver), 3 internal
-invariant violation or any other internal failure. Each command validates a
-layout at most once.
+invariant violation or any other internal failure. Each command that reads or
+writes a layout validates it exactly once.
 """
 
 from __future__ import annotations
@@ -123,10 +123,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     inst = parse_instance(Path(args.instance).read_bytes())
     layout = parse_layout(Path(args.layout).read_bytes())
-    if len(layout.rects) != inst.n:
-        raise FileFormatError(
-            f"layout has {len(layout.rects)} rects but the instance has {inst.n} areas"
-        )
     diag = validate_layout(inst, layout)
     if not diag.ok:
         raise FileFormatError(f"layout does not satisfy the instance: {diag}")
@@ -137,6 +133,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     inst = parse_instance(Path(args.input).read_bytes())
     _, layout = optimal_guillotine(inst, max_n=args.max_n)
+    if not validate_layout(inst, layout).ok:
+        raise InternalInvariantError("oracle witness failed validation")
     _write(args.output, serialize_layout(layout, include_tree=True))
     return 0
 

@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .geometry import Instance, Layout, Leaf, PreorderNode, cut_for, split_rect, tree_from_preorder
+from .geometry import (
+    Cut, Instance, Layout, Leaf, PreorderNode, Rect, cut_for, split_rect, tree_from_preorder
+)
 
 #: Worst-case ratio between the produced total half-perimeter and the best
 #: possible one, over all instances.
@@ -110,11 +112,15 @@ def bipartition_two_smallest(
 
 Reducer = Callable[[Sequence[float], "ReductionStats | None"], tuple[Block, Block]]
 
+Choice = tuple[Cut, Rect, Rect, Sequence[int], Sequence[int]]
 
-def _partition(inst: Instance, reduce_to_two: Reducer, stats: ReductionStats | None) -> Layout:
-    # Each job is a rect with its block's sorted values and area indices.
-    # The second piece is pushed before the first, so the reductions and
-    # cuts run in preorder, the order tree_from_preorder reads the nodes in.
+
+def _place(inst: Instance, choose: Callable[[Rect, list[float]], Choice]) -> Layout:
+    # The one tree builder. Each job is a rect with its block's sorted values
+    # and area indices; choose(rect, values) returns the cut, the two pieces
+    # (left or top first) and the ascending positions each piece takes. The
+    # second piece is pushed first, so the choices run in preorder, the order
+    # tree_from_preorder reads the nodes in.
     values, perm = sort_descending(inst.areas)
     nodes: list[PreorderNode] = []
     stack = [(inst.container, values, perm)]
@@ -123,12 +129,20 @@ def _partition(inst: Instance, reduce_to_two: Reducer, stats: ReductionStats | N
         if len(values) == 1:
             nodes.append(Leaf(rect, indices[0]))
             continue
+        cut, first, second, m1, m2 = choose(rect, values)
+        nodes.append((rect, cut))
+        stack.append((second, [values[i] for i in m2], [indices[i] for i in m2]))
+        stack.append((first, [values[i] for i in m1], [indices[i] for i in m1]))
+    return Layout.from_tree(tree_from_preorder(nodes), inst.n)
+
+
+def _partition(inst: Instance, reduce_to_two: Reducer, stats: ReductionStats | None) -> Layout:
+    def choose(rect: Rect, values: list[float]):
         b1, b2 = reduce_to_two(values, stats)
         first, second = split_rect(rect, b1.total)
-        nodes.append((rect, cut_for(rect)))
-        stack.append((second, [values[i] for i in b2.members], [indices[i] for i in b2.members]))
-        stack.append((first, [values[i] for i in b1.members], [indices[i] for i in b1.members]))
-    return Layout.from_tree(tree_from_preorder(nodes), inst.n)
+        return cut_for(rect), first, second, b1.members, b2.members
+
+    return _place(inst, choose)
 
 
 def partition_dc(inst: Instance, stats: ReductionStats | None = None) -> Layout:

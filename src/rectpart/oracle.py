@@ -6,16 +6,19 @@ on each side. States are memoized on the area multiset and the pane
 dimensions, canonicalized up to transposition; the cost of a tiling is
 invariant under transposing the pane, so the swap is lossless. Ties prefer
 the lexicographically smallest group assignment, then a vertical cut, which
-keeps results reproducible. Non-guillotine partitions are outside the search
-space, so the returned value is the guillotine optimum specifically.
+keeps results reproducible. A cut that rounding would leave without a second
+piece is never priced, as no witness could make it. Non-guillotine partitions
+are outside the search space, so the returned value is the guillotine optimum
+specifically. The partitioners' placer lays out the witness from the memo.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
-from .dc import sort_descending
-from .geometry import Cut, Instance, Internal, Layout, LayoutTree, Leaf, Rect, cut_rect
+from .dc import _place
+from .geometry import Cut, Instance, Layout, Rect, cut_rect
 
 
 class OracleSizeError(RuntimeError):
@@ -35,20 +38,17 @@ def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
     follows the usual conventions: the first group of a split takes the left
     piece of a vertical cut or the top piece of a horizontal one.
     """
-    n = inst.n
-    if n > max_n:
-        raise OracleSizeError(f"exhaustive search refused for n={n} > max_n={max_n}")
-
-    items = tuple(zip(*sort_descending(inst.areas)))
+    if inst.n > max_n:
+        raise OracleSizeError(f"exhaustive search refused for n={inst.n} > max_n={max_n}")
 
     memo: dict[tuple, float] = {}
 
-    def key(vals: tuple[float, ...], w: float, h: float) -> tuple:
+    def key(vals: list[float], w: float, h: float) -> tuple:
         if w < h:
             w, h = h, w
         return (tuple(_sig12(v) for v in vals), _sig12(w), _sig12(h))
 
-    def split(vals: tuple, mask: int) -> tuple[list, list]:
+    def split(vals: Sequence, mask: int) -> tuple[list, list]:
         # Bit j-1 of the mask sends element j to the second group; element 0
         # always stays in the first, which halves the enumeration.
         g1, g2 = [], []
@@ -59,7 +59,7 @@ def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
                 g1.append(v)
         return g1, g2
 
-    def best(vals: tuple[float, ...], w: float, h: float) -> float:
+    def best(vals: list[float], w: float, h: float) -> float:
         if len(vals) == 1:
             return w + h
         k = key(vals, w, h)
@@ -67,44 +67,43 @@ def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
         if hit is not None:
             return hit
         best_v = math.inf
+        area = w * h
         for mask in range(1, 1 << (len(vals) - 1)):
             g1, g2 = split(vals, mask)
             s1 = math.fsum(g1)
-            t1, t2 = tuple(g1), tuple(g2)
+            if s1 >= area:
+                continue  # as in cut_rect: the second piece would have no extent
             w1 = s1 / h
-            v = best(t1, w1, h) + best(t2, w - w1, h)
-            if v < best_v:
-                best_v = v
+            if w1 < w:
+                v = best(g1, w1, h) + best(g2, w - w1, h)
+                if v < best_v:
+                    best_v = v
             h1 = s1 / w
-            v = best(t1, w, h1) + best(t2, w, h - h1)
-            if v < best_v:
-                best_v = v
+            if h1 < h:
+                v = best(g1, w, h1) + best(g2, w, h - h1)
+                if v < best_v:
+                    best_v = v
         memo[k] = best_v
         return best_v
 
-    def rebuild(group: tuple[tuple[float, int], ...], rect: Rect) -> LayoutTree:
+    def choose(rect: Rect, values: list[float]):
         # The rounded memo keys merge states that differ beyond the 12th
         # digit, so the stored optimum can be off by ~1e-12 relative for this
         # exact rect; accept the first candidate within that noise band.
-        if len(group) == 1:
-            return Leaf(rect, group[0][1])
-        vals = tuple(v for v, _ in group)
-        target = best(vals, rect.w, rect.h)
+        target = best(values, rect.w, rect.h)
         eps = 1e-10 * target
-        for mask in range(1, 1 << (len(group) - 1)):
-            g1, g2 = split(group, mask)
-            s1 = math.fsum(v for v, _ in g1)
-            v1 = tuple(v for v, _ in g1)
-            v2 = tuple(v for v, _ in g2)
+        for mask in range(1, 1 << (len(values) - 1)):
+            m1, m2 = split(range(len(values)), mask)
+            v1, v2 = split(values, mask)
+            s1 = math.fsum(v1)
             for cut in (Cut.VERTICAL, Cut.HORIZONTAL):
                 try:
                     a, b = cut_rect(rect, cut, s1)
                 except ValueError:
                     continue  # rounding leaves one of the pieces no extent
                 if best(v1, a.w, a.h) + best(v2, b.w, b.h) <= target + eps:
-                    return Internal(rect, cut, rebuild(tuple(g1), a), rebuild(tuple(g2), b))
+                    return cut, a, b, m1, m2
         raise AssertionError("memoized optimum could not be reproduced")
 
-    value = best(tuple(v for v, _ in items), inst.container.w, inst.container.h)
-    tree = rebuild(items, inst.container)
-    return value, Layout.from_tree(tree, n)
+    value = best(sorted(inst.areas, reverse=True), inst.container.w, inst.container.h)
+    return value, _place(inst, choose)

@@ -75,6 +75,35 @@ def test_oracle_guard_exit_code(tmp_path):
     assert json.loads(out.read_bytes())["totalHalfPerimeter"] == pytest.approx(18.0, rel=1e-9)
 
 
+def _instance_file(tmp_path, container, areas):
+    path = tmp_path / "inst.json"
+    path.write_bytes(rp.serialize_instance(rp.make_instance(container, areas, normalize=True)))
+    return path
+
+
+def test_oracle_checks_its_witness_before_writing(tmp_path, capsys):
+    # The witness's small pane is the remainder of a cut at 1 - 1e-12, which
+    # rounding leaves 9e-5 off its area (relative); it used to be written.
+    inst = _instance_file(tmp_path, rp.Rect(0, 0, 1, 1), [1.0, 1e-12])
+    out = tmp_path / "oracle.json"
+    assert cli_main(["oracle", "--input", str(inst), "--output", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("internal error:")
+    assert not out.exists()
+
+
+def test_oracle_skips_cuts_without_extent(tmp_path, capsys):
+    # Every first group sums to the whole pane after rounding (1 + 1e-17 is
+    # 1), so no cut can be made; the search used to price the zero-width
+    # second piece and divide by it.
+    inst = _instance_file(tmp_path, rp.Rect(0, 0, 1, 1), [1.0, 1e-17, 1e-17])
+    out = tmp_path / "oracle.json"
+    assert cli_main(["oracle", "--input", str(inst), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "ZeroDivisionError" not in err
+    assert not out.exists()
+
+
 def test_eval_mismatched_pair_exits_one(halves_file, tmp_path):
     layout_path = tmp_path / "layout.json"
     assert cli_main(
@@ -217,6 +246,9 @@ def test_partition_and_eval_validate_once(halves_file, tmp_path, monkeypatch):
     assert cli_main(["eval", "--instance", str(halves_file), "--layout", str(layout),
                      "--output", str(tmp_path / "eval.json")]) == 0
     assert len(calls) == 2
+    assert cli_main(["oracle", "--input", str(halves_file),
+                     "--output", str(tmp_path / "oracle.json")]) == 0
+    assert len(calls) == 3
 
 
 # Leaf 0 twice and no leaf 1: a tree that does not tile the two halves, which

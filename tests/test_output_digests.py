@@ -1,0 +1,110 @@
+"""Bit-level sameness of the partitioners' and the oracle's outputs.
+
+``tests/data/output_digests.json`` records, for a fixed set of instances,
+the sha256 of ``serialize_layout(layout, include_tree=True)`` and the
+``ReductionStats`` of dc and mdc, and the oracle's value and the digest of
+its witness. Any changed bit in a rect, a cut or a counter fails here. A
+change that is meant to move outputs rewrites the file with
+
+    PYTHONPATH=src python tests/test_output_digests.py
+
+and says in its description which outputs moved and why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import rectpart as rp
+
+DIGESTS = Path(__file__).parent / "data" / "output_digests.json"
+
+SQUARE = rp.Rect(0, 0, 1, 1)
+WIDE = rp.Rect(0, 0, 2, 1)
+
+
+def _generated(family, n, seed, container, q=0.5):
+    return rp.generate(rp.GenSpec(n=n, family=family, seed=seed, container=container, q=q))
+
+
+def _tie_heavy(n, seed, container):
+    # Areas drawn from three values, so most reductions meet equal entries.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    raw = rng.choice([1.0, 2.0, 3.0], size=n).tolist()
+    return rp.make_instance(container, raw, normalize=True)
+
+
+def partition_cases():
+    cases = {}
+    for cname, container in (("1x1", SQUARE), ("2x1", WIDE)):
+        for n, seed in ((5, 1), (40, 2), (200, 3)):
+            cases[f"uniform-n{n}-s{seed}-{cname}"] = _generated("uniform", n, seed, container)
+        for q in (0.5, 0.9, 0.99):
+            for n, seed in ((12, 4), (60, 5)):
+                cases[f"geo{q}-n{n}-s{seed}-{cname}"] = _generated("geometric", n, seed, container, q)
+        for n, seed in ((7, 6), (25, 7), (64, 8)):
+            cases[f"ties-n{n}-s{seed}-{cname}"] = _tie_heavy(n, seed, container)
+        cases[f"equal-n9-{cname}"] = rp.make_instance(container, [1.0] * 9, normalize=True)
+    cases["chain-geo0.5-n300"] = _generated("geometric", 300, 7, SQUARE)
+    return cases
+
+
+def oracle_cases():
+    cases = {}
+    for cname, container in (("1x1", SQUARE), ("2x1", WIDE)):
+        for n in range(2, 8):
+            cases[f"uniform-n{n}-{cname}"] = _generated("uniform", n, 10 + n, container)
+            if n <= 6:
+                cases[f"geo0.6-n{n}-{cname}"] = _generated("geometric", n, 20 + n, container, 0.6)
+        cases[f"equal-n4-{cname}"] = rp.make_instance(container, [1, 1, 1, 1], normalize=True)
+        cases[f"pairs-n6-{cname}"] = rp.make_instance(container, [3, 3, 2, 2, 1, 1], normalize=True)
+    return cases
+
+
+def _sha(layout):
+    return hashlib.sha256(rp.serialize_layout(layout, include_tree=True)).hexdigest()
+
+
+def partition_digest(inst, algo):
+    stats = rp.ReductionStats()
+    layout = (rp.partition_dc if algo == "dc" else rp.partition_mdc)(inst, stats)
+    return {"layout": _sha(layout), "stats": [stats.iterations, stats.pairwise_equivalent]}
+
+
+def oracle_digest(inst):
+    value, witness = rp.optimal_guillotine(inst)
+    return {"value": value, "witness": _sha(witness)}
+
+
+def compute_all():
+    return {
+        "partition": {
+            name: {algo: partition_digest(inst, algo) for algo in ("dc", "mdc")}
+            for name, inst in partition_cases().items()
+        },
+        "oracle": {name: oracle_digest(inst) for name, inst in oracle_cases().items()},
+    }
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(DIGESTS.read_text())
+
+
+@pytest.mark.parametrize("algo", ["dc", "mdc"])
+def test_partition_outputs_match_recorded_digests(recorded, algo):
+    got = {name: partition_digest(inst, algo) for name, inst in partition_cases().items()}
+    want = {name: entry[algo] for name, entry in recorded["partition"].items()}
+    assert got == want
+
+
+def test_oracle_outputs_match_recorded_digests(recorded):
+    got = {name: oracle_digest(inst) for name, inst in oracle_cases().items()}
+    assert got == recorded["oracle"]
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(compute_all(), indent=1, sort_keys=True) + "\n")
