@@ -17,6 +17,13 @@ forced set is the least fixed point of three rules:
   as long edges, and as a candidate it qualifies when either opposite pair
   is certified.
 
+The closure keeps one bitmask per node: bit s is set once the node's long
+edge s lies inside a forced long edge (bits 0-1 the long-edge pair, bits 2-3
+a square's vertical pair). Each forced node scans the candidate edges once;
+the default mode ORs the bits it covers into each candidate's mask, while
+``per_edge=False`` tests them alone. The rules are monotone, so the order in
+which nodes are forced does not change the set.
+
 The forced-aware bound sums width + height over forced terminal panes and
 2*sqrt(A) over the rest; it is never smaller than the naive all-square bound
 and never exceeds the true guillotine optimum.
@@ -26,7 +33,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -93,31 +99,18 @@ def detect_forced(
 
     # All candidate long edges, bucketed by orientation and sorted by their
     # supporting line so a forced edge only scans nearby candidates.
-    edges_of: list[list[tuple[str, float, float, float]]] = []
-    pairs_of: list[list[tuple[int, int]]] = []
+    edges_of = [_long_edges(node.rect) for node in nodes]
     cand: dict[str, list[tuple[float, float, float, int, int]]] = {"h": [], "v": []}
-    for i in range(n_nodes):
-        edges = _long_edges(nodes[i].rect)
-        edges_of.append(edges)
-        pairs_of.append([(0, 1)] if len(edges) == 2 else [(0, 1), (2, 3)])
+    for i, edges in enumerate(edges_of):
         for slot, (orient, c, lo, hi) in enumerate(edges):
             cand[orient].append((c, lo, hi, i, slot))
     for orient in cand:
         cand[orient].sort(key=lambda t: t[0])
     coords = {orient: [t[0] for t in cand[orient]] for orient in cand}
 
-    certifiers: list[list[set[int]]] = [[set() for _ in edges] for edges in edges_of]
+    covered = [0] * n_nodes
     forced = [False] * n_nodes
-    queue: deque[int] = deque()
-
-    def is_certified(j: int) -> bool:
-        for s1, s2 in pairs_of[j]:
-            if per_edge:
-                if certifiers[j][s1] and certifiers[j][s2]:
-                    return True
-            elif certifiers[j][s1] & certifiers[j][s2]:
-                return True
-        return False
+    queue: list[int] = []
 
     def force(i: int) -> None:
         if not forced[i]:
@@ -126,20 +119,22 @@ def detect_forced(
 
     force(0)
     while queue:
-        f = queue.popleft()
+        f = queue.pop()
         node = nodes[f]
         if isinstance(node, Internal) and a_max[f] >= 0.5 * node.rect.area * (1.0 - 1e-12):
             force(right_id[f])
-        for orient, c, lo, hi in _long_edges(node.rect):
+        by_f: dict[int, int] = {}  # the bits that f alone covers, per candidate
+        for orient, c, lo, hi in edges_of[f]:
             start = bisect.bisect_left(coords[orient], c - tol)
             stop = bisect.bisect_right(coords[orient], c + tol)
             for _, clo, chi, j, slot in cand[orient][start:stop]:
-                if forced[j]:
-                    continue
-                if clo >= lo - tol and chi <= hi + tol:
-                    certifiers[j][slot].add(f)
-                    if is_certified(j):
-                        force(j)
+                if not forced[j] and clo >= lo - tol and chi <= hi + tol:
+                    by_f[j] = by_f.get(j, 0) | 1 << slot
+        for j, bits in by_f.items():
+            if per_edge:
+                bits = covered[j] = covered[j] | bits
+            if bits & 0b0011 == 0b0011 or bits & 0b1100 == 0b1100:
+                force(j)
     return {i for i in range(n_nodes) if forced[i]}
 
 

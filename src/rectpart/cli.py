@@ -39,7 +39,7 @@ class _UsageError(Exception):
 
 
 class InternalInvariantError(RuntimeError):
-    """A produced layout failed its own self-check."""
+    """A produced layout failed its own self-check, or no layout was produced."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,7 +96,11 @@ def _write(path: str | None, data: bytes) -> None:
 def _cmd_partition(args: argparse.Namespace) -> int:
     inst = parse_instance(Path(args.input).read_bytes(), normalize=args.normalize)
     algo = partition_dc if args.algo == "dc" else partition_mdc
-    layout = algo(inst)
+    try:
+        layout = algo(inst)
+    except ValueError as e:
+        # The instance is already parsed and checked: this failure is ours.
+        raise InternalInvariantError(f"{args.algo} failed on a valid instance: {e}") from e
     if not validate_layout(inst, layout).ok:
         raise InternalInvariantError("produced layout failed validation")
     _write(args.output, serialize_layout(layout, include_tree=bool(args.report)))

@@ -91,6 +91,10 @@ def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
         # digit, so the stored optimum can be off by ~1e-12 relative for this
         # exact rect; accept the first candidate within that noise band.
         target = best(values, rect.w, rect.h)
+        if math.isinf(target):
+            raise AssertionError(
+                "no guillotine cut of the pane is representable in floating point"
+            )
         eps = 1e-10 * target
         for mask in range(1, 1 << (len(values) - 1)):
             m1, m2 = split(range(len(values)), mask)

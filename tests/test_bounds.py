@@ -30,6 +30,26 @@ def test_conservative_mode_needs_one_certifier_for_both_edges():
     assert forced == {0, 2}
 
 
+@pytest.mark.parametrize("partition", [rp.partition_dc, rp.partition_mdc])
+@pytest.mark.parametrize("per_edge", [True, False])
+def test_square_forced_through_its_second_edge_pair(partition, per_edge):
+    inst = rp.make_instance(rp.Rect(0, 0, 1, 2), [1.0, 1.0])
+    layout = partition(inst)
+    # preorder: 0 the tall container, 1 top square, 2 bottom square. The
+    # container's long edges cover the top square's vertical pair; its top
+    # edge y=2 lies in no forced long edge, so only the second pair counts.
+    assert rp.detect_forced(layout.tree, inst.areas, per_edge=per_edge) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("partition", [rp.partition_dc, rp.partition_mdc])
+def test_squares_under_a_dominant_half(partition):
+    inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.5, 0.25, 0.25])
+    layout = partition(inst)
+    # preorder: 0 root, 1 top half, 2 bottom half, 3 and 4 its two squares
+    assert rp.detect_forced(layout.tree, inst.areas) == {0, 1, 2, 3, 4}
+    assert rp.detect_forced(layout.tree, inst.areas, per_edge=False) == {0, 2, 3, 4}
+
+
 def test_no_dominant_area_keeps_right_child_unforced():
     inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.4, 0.3, 0.3])
     layout = rp.partition_dc(inst)

@@ -95,12 +95,28 @@ def test_oracle_checks_its_witness_before_writing(tmp_path, capsys):
 def test_oracle_skips_cuts_without_extent(tmp_path, capsys):
     # Every first group sums to the whole pane after rounding (1 + 1e-17 is
     # 1), so no cut can be made; the search used to price the zero-width
-    # second piece and divide by it.
-    inst = _instance_file(tmp_path, rp.Rect(0, 0, 1, 1), [1.0, 1e-17, 1e-17])
-    out = tmp_path / "oracle.json"
-    assert cli_main(["oracle", "--input", str(inst), "--output", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("internal error:") and "ZeroDivisionError" not in err
+    # second piece and divide by it, and then blamed its memo.
+    for areas in ([1.0, 1e-17, 1e-17], [1.0, 1e-17]):
+        inst = _instance_file(tmp_path, rp.Rect(0, 0, 1, 1), areas)
+        out = tmp_path / "oracle.json"
+        assert cli_main(["oracle", "--input", str(inst), "--output", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("internal error:")
+        assert "no guillotine cut of the pane is representable in floating point" in err[0]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["dc", "mdc"])
+def test_partition_failure_on_valid_instance_is_internal(tmp_path, capsys, algo):
+    # A valid instance whose small pane rounding cannot cut off: the
+    # partitioner's ValueError is its own failure, not the input's.
+    inst = tmp_path / "tiny.json"
+    inst.write_bytes(b'{"container": {"width": 1, "height": 1}, "areas": [1.0, 1e-17]}')
+    out = tmp_path / "layout.json"
+    code = cli_main(["partition", "--algo", algo, "--input", str(inst), "--output", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("internal error: InternalInvariantError:")
     assert not out.exists()
 
 

@@ -2,9 +2,11 @@
 
 ``tests/data/output_digests.json`` records, for a fixed set of instances,
 the sha256 of ``serialize_layout(layout, include_tree=True)`` and the
-``ReductionStats`` of dc and mdc, and the oracle's value and the digest of
-its witness. Any changed bit in a rect, a cut or a counter fails here. A
-change that is meant to move outputs rewrites the file with
+``ReductionStats`` of dc and mdc, the sha256 of each layout's quality report
+and its conservative (``per_edge=False``) forced set, and the oracle's value
+and the digest of its witness. Any changed bit in a rect, a cut, a counter or
+a forced flag fails here. A change that is meant to move outputs rewrites the
+file with
 
     PYTHONPATH=src python tests/test_output_digests.py
 
@@ -68,10 +70,23 @@ def _sha(layout):
     return hashlib.sha256(rp.serialize_layout(layout, include_tree=True)).hexdigest()
 
 
+def _partition(inst, algo, stats=None):
+    return (rp.partition_dc if algo == "dc" else rp.partition_mdc)(inst, stats)
+
+
 def partition_digest(inst, algo):
     stats = rp.ReductionStats()
-    layout = (rp.partition_dc if algo == "dc" else rp.partition_mdc)(inst, stats)
+    layout = _partition(inst, algo, stats)
     return {"layout": _sha(layout), "stats": [stats.iterations, stats.pairwise_equivalent]}
+
+
+def forced_digest(inst, algo):
+    # The report carries the default per-edge flags of the leaves; the id list
+    # pins the conservative mode on every node, internal ones included.
+    layout = _partition(inst, algo)
+    report = rp.report_to_json(rp.report(inst, layout))
+    forced = rp.detect_forced(layout.tree, inst.areas, per_edge=False)
+    return {"report": hashlib.sha256(report).hexdigest(), "forced": sorted(forced)}
 
 
 def oracle_digest(inst):
@@ -83,6 +98,10 @@ def compute_all():
     return {
         "partition": {
             name: {algo: partition_digest(inst, algo) for algo in ("dc", "mdc")}
+            for name, inst in partition_cases().items()
+        },
+        "forced": {
+            name: {algo: forced_digest(inst, algo) for algo in ("dc", "mdc")}
             for name, inst in partition_cases().items()
         },
         "oracle": {name: oracle_digest(inst) for name, inst in oracle_cases().items()},
@@ -98,6 +117,13 @@ def recorded():
 def test_partition_outputs_match_recorded_digests(recorded, algo):
     got = {name: partition_digest(inst, algo) for name, inst in partition_cases().items()}
     want = {name: entry[algo] for name, entry in recorded["partition"].items()}
+    assert got == want
+
+
+@pytest.mark.parametrize("algo", ["dc", "mdc"])
+def test_forced_flags_match_recorded_digests(recorded, algo):
+    got = {name: forced_digest(inst, algo) for name, inst in partition_cases().items()}
+    want = {name: entry[algo] for name, entry in recorded["forced"].items()}
     assert got == want
 
 
