@@ -15,12 +15,9 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-# ``report`` stays a name of this module so that tools which wrap the
-# CLI's layers at ``rectpart.cli.report`` keep working.
-from .bounds import _report_valid, report  # noqa: F401
+from .bounds import _report_valid, report
 from .dc import partition_dc
 from .fileio import (
-    FileFormatError,
     parse_instance,
     parse_layout,
     report_to_json,
@@ -127,10 +124,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     inst = parse_instance(Path(args.instance).read_bytes())
     layout = parse_layout(Path(args.layout).read_bytes())
-    diag = validate_layout(inst, layout)
-    if not diag.ok:
-        raise FileFormatError(f"layout does not satisfy the instance: {diag}")
-    _write(args.output, report_to_json(_report_valid(inst, layout)))
+    _write(args.output, report_to_json(report(inst, layout)))
     return 0
 
 

@@ -75,7 +75,10 @@ def _dumps(doc: Any) -> bytes:
 def _number(obj: Any, what: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise FileFormatError(f"{what} must be a number, got {obj!r}")
-    v = float(obj)
+    try:
+        v = float(obj)
+    except OverflowError:
+        raise FileFormatError(f"{what} is an integer beyond the range of a double") from None
     if not math.isfinite(v):
         raise FileFormatError(f"{what} must be finite, got {obj!r}")
     return v

@@ -69,20 +69,42 @@ def cut_for(q: Rect) -> Cut:
     return Cut.VERTICAL if q.w > q.h else Cut.HORIZONTAL
 
 
+def cut_extents(
+    w: float, h: float, cut: Cut, a1: float
+) -> tuple[float, float, float, float] | None:
+    """Extents ``(w1, h1, w2, h2)`` of the two pieces of :func:`cut_rect` on a
+    ``w`` x ``h`` pane, or None when ``a1`` lies outside (0, w*h) or rounding
+    leaves a piece without positive extent.
+
+    The second piece takes whatever extent remains, so the pieces tile the
+    pane exactly and no coordinate drift accumulates.
+    """
+    if not 0.0 < a1 < w * h:
+        return None
+    if cut is Cut.VERTICAL:
+        w1 = a1 / h
+        w2 = w - w1
+        return (w1, h, w2, h) if w1 > 0.0 and w2 > 0.0 else None
+    h1 = a1 / w
+    h2 = h - h1
+    return (w, h1, w, h2) if h1 > 0.0 and h2 > 0.0 else None
+
+
 def cut_rect(q: Rect, cut: Cut, a1: float) -> tuple[Rect, Rect]:
     """Cut ``q`` along ``cut`` into two pieces, the first of which has area
     ``a1``: the left piece of a vertical cut, the top piece of a horizontal one.
-
-    The two pieces tile ``q`` exactly: the second piece takes whatever extent
-    remains, so no coordinate drift accumulates.
+    The pieces take the extents that :func:`cut_extents` gives; where it
+    gives None, raises ValueError.
     """
-    if not 0.0 < a1 < q.area:
-        raise ValueError(f"first-piece area {a1} must lie strictly inside (0, {q.area})")
+    ext = cut_extents(q.w, q.h, cut, a1)
+    if ext is None:
+        raise ValueError(
+            f"a {cut.value} cut of {q} at first-piece area {a1} leaves a piece without extent"
+        )
+    w1, h1, w2, h2 = ext
     if cut is Cut.VERTICAL:
-        w1 = a1 / q.h
-        return Rect(q.x, q.y, w1, q.h), Rect(q.x + w1, q.y, q.w - w1, q.h)
-    h1 = a1 / q.w
-    return Rect(q.x, q.y + (q.h - h1), q.w, h1), Rect(q.x, q.y, q.w, q.h - h1)
+        return Rect(q.x, q.y, w1, h1), Rect(q.x + w1, q.y, w2, h2)
+    return Rect(q.x, q.y + h2, w1, h1), Rect(q.x, q.y, w2, h2)
 
 
 def split_rect(q: Rect, a1: float) -> tuple[Rect, Rect]:
@@ -167,6 +189,14 @@ def iter_leaves(tree: LayoutTree) -> Iterator[Leaf]:
             yield node
 
 
+def _area_sum(areas: Sequence[float]) -> float:
+    """Exact sum of ``areas``; ValueError when it overflows a double."""
+    try:
+        return math.fsum(areas)
+    except OverflowError:
+        raise ValueError("the areas sum beyond the largest double") from None
+
+
 @dataclass(frozen=True)
 class Instance:
     """A container rectangle plus the list of target areas to carve from it.
@@ -183,10 +213,12 @@ class Instance:
         object.__setattr__(self, "areas", tuple(float(a) for a in self.areas))
         if len(self.areas) == 0:
             raise ValueError("at least one target area is required")
+        if not math.isfinite(self.container.area):
+            raise ValueError(f"the container's area overflows: {self.container!r}")
         for i, a in enumerate(self.areas):
             if not (math.isfinite(a) and a > 0):
                 raise ValueError(f"area #{i} must be positive and finite, got {a!r}")
-        total = math.fsum(self.areas)
+        total = _area_sum(self.areas)
         if abs(total - self.container.area) > REL_TOL * self.container.area:
             raise ValueError(
                 f"areas sum to {total} but the container holds {self.container.area}; "
@@ -205,7 +237,7 @@ def make_instance(container: Rect, areas, *, normalize: bool = False) -> Instanc
     if normalize:
         if not vals or any(not (math.isfinite(a) and a > 0) for a in vals):
             raise ValueError("normalization needs a non-empty list of positive finite areas")
-        total = math.fsum(vals)
+        total = _area_sum(vals)
         vals = tuple(a / total * container.area for a in vals)
     return Instance(container, vals)
 

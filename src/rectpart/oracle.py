@@ -6,19 +6,25 @@ on each side. States are memoized on the area multiset and the pane
 dimensions, canonicalized up to transposition; the cost of a tiling is
 invariant under transposing the pane, so the swap is lossless. Ties prefer
 the lexicographically smallest group assignment, then a vertical cut, which
-keeps results reproducible. A cut that rounding would leave without a second
-piece is never priced, as no witness could make it. Non-guillotine partitions
-are outside the search space, so the returned value is the guillotine optimum
-specifically. The partitioners' placer lays out the witness from the memo.
+keeps results reproducible. Each area is rounded to 12 significant digits
+once per search, for the memo keys. Non-guillotine partitions are outside the
+search space, so the returned value is the guillotine optimum specifically.
+
+One candidate loop serves the search and the witness. It prices every cut
+through the placer's cut rule (:func:`geometry.cut_extents`), so a cut that
+rounding would leave without a piece is never priced, as no witness could
+make it. The search keeps each pane's cheapest candidate, and the
+partitioners' placer lays out the witness from the first candidate that
+reproduces the memoized optimum.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .dc import _place
-from .geometry import Cut, Instance, Layout, Rect, cut_rect
+from .geometry import Cut, Instance, Layout, Rect, cut_extents, cut_rect
 
 
 class OracleSizeError(RuntimeError):
@@ -42,11 +48,12 @@ def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
         raise OracleSizeError(f"exhaustive search refused for n={inst.n} > max_n={max_n}")
 
     memo: dict[tuple, float] = {}
+    sig = {a: _sig12(a) for a in inst.areas}
 
     def key(vals: list[float], w: float, h: float) -> tuple:
         if w < h:
             w, h = h, w
-        return (tuple(_sig12(v) for v in vals), _sig12(w), _sig12(h))
+        return (tuple(map(sig.__getitem__, vals)), _sig12(w), _sig12(h))
 
     def split(vals: Sequence, mask: int) -> tuple[list, list]:
         # Bit j-1 of the mask sends element j to the second group; element 0
@@ -59,6 +66,18 @@ def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
                 g1.append(v)
         return g1, g2
 
+    def priced(vals: list[float], w: float, h: float) -> Iterator[tuple[float, int, Cut]]:
+        # (value, mask, cut) of each representable cut of the w x h pane,
+        # masks ascending and the vertical cut first, which is the tie order.
+        for mask in range(1, 1 << (len(vals) - 1)):
+            g1, g2 = split(vals, mask)
+            s1 = math.fsum(g1)
+            for cut in (Cut.VERTICAL, Cut.HORIZONTAL):
+                ext = cut_extents(w, h, cut, s1)
+                if ext is not None:
+                    w1, h1, w2, h2 = ext
+                    yield best(g1, w1, h1) + best(g2, w2, h2), mask, cut
+
     def best(vals: list[float], w: float, h: float) -> float:
         if len(vals) == 1:
             return w + h
@@ -67,22 +86,9 @@ def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
         if hit is not None:
             return hit
         best_v = math.inf
-        area = w * h
-        for mask in range(1, 1 << (len(vals) - 1)):
-            g1, g2 = split(vals, mask)
-            s1 = math.fsum(g1)
-            if s1 >= area:
-                continue  # as in cut_rect: the second piece would have no extent
-            w1 = s1 / h
-            if w1 < w:
-                v = best(g1, w1, h) + best(g2, w - w1, h)
-                if v < best_v:
-                    best_v = v
-            h1 = s1 / w
-            if h1 < h:
-                v = best(g1, w, h1) + best(g2, w, h - h1)
-                if v < best_v:
-                    best_v = v
+        for v, _, _ in priced(vals, w, h):
+            if v < best_v:
+                best_v = v
         memo[k] = best_v
         return best_v
 
@@ -95,18 +101,11 @@ def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
             raise AssertionError(
                 "no guillotine cut of the pane is representable in floating point"
             )
-        eps = 1e-10 * target
-        for mask in range(1, 1 << (len(values) - 1)):
-            m1, m2 = split(range(len(values)), mask)
-            v1, v2 = split(values, mask)
-            s1 = math.fsum(v1)
-            for cut in (Cut.VERTICAL, Cut.HORIZONTAL):
-                try:
-                    a, b = cut_rect(rect, cut, s1)
-                except ValueError:
-                    continue  # rounding leaves one of the pieces no extent
-                if best(v1, a.w, a.h) + best(v2, b.w, b.h) <= target + eps:
-                    return cut, a, b, m1, m2
+        limit = target + 1e-10 * target
+        for v, mask, cut in priced(values, rect.w, rect.h):
+            if v <= limit:
+                a, b = cut_rect(rect, cut, math.fsum(split(values, mask)[0]))
+                return (cut, a, b, *split(range(len(values)), mask))
         raise AssertionError("memoized optimum could not be reproduced")
 
     value = best(sorted(inst.areas, reverse=True), inst.container.w, inst.container.h)

@@ -120,6 +120,42 @@ def test_partition_failure_on_valid_instance_is_internal(tmp_path, capsys, algo)
     assert not out.exists()
 
 
+BIG_INT = "9" * 400  # an integer literal far beyond the largest double
+UNIT_SQUARE_ONE = b'{"container": {"width": 1, "height": 1}, "areas": [1]}'
+
+
+@pytest.mark.parametrize(
+    "instance, layout, flags",
+    [
+        (f'{{"container": {{"width": 1, "height": 1}}, "areas": [{BIG_INT}]}}', None, []),
+        (f'{{"container": {{"width": {BIG_INT}, "height": 1}}, "areas": [1]}}', None, []),
+        ('{"container": {"width": 1, "height": 1}, "areas": [1e308, 1e308]}', None, []),
+        ('{"container": {"width": 1, "height": 1}, "areas": [1e308, 1e308]}', None, ["--normalize"]),
+        ('{"container": {"width": 1e200, "height": 1e200}, "areas": [1]}', None, []),
+        (UNIT_SQUARE_ONE.decode(),
+         f'{{"version": 2, "rects": [{{"index": 0, "x": {BIG_INT}, "y": 0, "width": 1, "height": 1}}]}}',
+         []),
+    ],
+    ids=["area-int", "width-int", "area-sum", "area-sum-normalize", "container-area", "layout-x-int"],
+)
+def test_numbers_beyond_a_double_are_bad_input(tmp_path, capsys, instance, layout, flags):
+    # Overflow is the input's fault: exit 1 with one error line, never an
+    # internal OverflowError or a layout that fails its own validation.
+    inst = tmp_path / "inst.json"
+    inst.write_text(instance)
+    out = tmp_path / "out.json"
+    if layout is None:
+        argv = ["partition", "--algo", "dc", "--input", str(inst), "--output", str(out), *flags]
+    else:
+        lay = tmp_path / "layout.json"
+        lay.write_text(layout)
+        argv = ["eval", "--instance", str(inst), "--layout", str(lay), "--output", str(out)]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_eval_mismatched_pair_exits_one(halves_file, tmp_path):
     layout_path = tmp_path / "layout.json"
     assert cli_main(

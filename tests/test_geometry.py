@@ -68,6 +68,28 @@ def test_split_rect_rejects_out_of_range_area():
     for a1 in (0.0, -1.0, 2.0, 2.5):
         with pytest.raises(ValueError):
             rp.split_rect(q, a1)
+    # cut_extents refuses exactly what cut_rect refuses, including first
+    # pieces whose remainder rounds away and pieces that underflow to zero.
+    for q in (rp.Rect(0, 0, 2, 1), rp.Rect(0, 0, 1.3, 3), rp.Rect(1.5, -2, 0.3, 0.7),
+              rp.Rect(0, 0, 1e300, 1e-300)):
+        area = q.area
+        below = math.nextafter(area, 0.0)
+        for a1 in (0.0, -1.0, area, 2 * area, area * (1 - 1e-17), below, math.nextafter(below, 0.0),
+                   area * (1 - 1e-16), area * (1 - 3e-16), area / 2, 5e-324, math.nan):
+            for cut in rp.Cut:
+                ext = geometry.cut_extents(q.w, q.h, cut, a1)
+                try:
+                    geometry.cut_rect(q, cut, a1)
+                except ValueError:
+                    assert ext is None, (q, cut, a1)
+                else:
+                    assert ext is not None, (q, cut, a1)
+    # 1.3 * 3 rounds up, so the largest area below it leaves no remainder...
+    below = math.nextafter(1.3 * 3.0, 0.0)
+    assert geometry.cut_extents(1.3, 3.0, rp.Cut.VERTICAL, below) is None
+    assert geometry.cut_extents(1.3, 3.0, rp.Cut.HORIZONTAL, below) is None
+    # ...and the smallest double, cut off a 1e300-wide pane, has no height.
+    assert geometry.cut_extents(1e300, 1e-300, rp.Cut.HORIZONTAL, 5e-324) is None
 
 
 @given(rect_st)
@@ -99,6 +121,7 @@ def test_split_rect_tiles_exactly(r, frac):
     assert rp.split_rect(r, a1) == geometry.cut_rect(r, geometry.cut_for(r), a1)
     for cut in rp.Cut:
         first, second = geometry.cut_rect(r, cut, a1)
+        assert geometry.cut_extents(r.w, r.h, cut, a1) == (first.w, first.h, second.w, second.h)
         assert first.area == pytest.approx(a1, rel=1e-12)
         assert first.area + second.area == pytest.approx(r.area, rel=1e-11)
         if cut is rp.Cut.VERTICAL:
@@ -121,6 +144,12 @@ def test_instance_requires_matching_sum():
         rp.make_instance(container, [])
     with pytest.raises(ValueError):
         rp.make_instance(container, [1.0, -0.1], normalize=True)
+    # sums beyond the largest double
+    with pytest.raises(ValueError, match="container's area"):
+        rp.make_instance(rp.Rect(0, 0, 1e200, 1e200), [1.0])
+    for normalize in (False, True):
+        with pytest.raises(ValueError, match="largest double"):
+            rp.make_instance(container, [1e308, 1e308], normalize=normalize)
 
 
 def test_validate_layout_accepts_exact_halves():

@@ -26,16 +26,17 @@ DIGESTS = Path(__file__).parent / "data" / "output_digests.json"
 
 SQUARE = rp.Rect(0, 0, 1, 1)
 WIDE = rp.Rect(0, 0, 2, 1)
+TALL = rp.Rect(0, 0, 1, 3)
 
 
 def _generated(family, n, seed, container, q=0.5):
     return rp.generate(rp.GenSpec(n=n, family=family, seed=seed, container=container, q=q))
 
 
-def _tie_heavy(n, seed, container):
-    # Areas drawn from three values, so most reductions meet equal entries.
+def _tie_heavy(n, seed, container, values=(1.0, 2.0, 3.0)):
+    # Areas drawn from a few values, so most reductions meet equal entries.
     rng = np.random.Generator(np.random.PCG64(seed))
-    raw = rng.choice([1.0, 2.0, 3.0], size=n).tolist()
+    raw = rng.choice(values, size=n).tolist()
     return rp.make_instance(container, raw, normalize=True)
 
 
@@ -63,6 +64,20 @@ def oracle_cases():
                 cases[f"geo0.6-n{n}-{cname}"] = _generated("geometric", n, 20 + n, container, 0.6)
         cases[f"equal-n4-{cname}"] = rp.make_instance(container, [1, 1, 1, 1], normalize=True)
         cases[f"pairs-n6-{cname}"] = rp.make_instance(container, [3, 3, 2, 2, 1, 1], normalize=True)
+    # Equal candidate values, where the tie order picks the witness.
+    for cname, container in (("1x1", SQUARE), ("2x1", WIDE), ("1x3", TALL)):
+        for vname, values in (("123", (1.0, 2.0, 3.0)), ("112", (1.0, 1.0, 2.0)), ("124", (1.0, 2.0, 4.0))):
+            for n in range(3, 8):
+                cases[f"ties{vname}-n{n}-{cname}"] = _tie_heavy(n, 30 + n, container, values)
+    # Distinct areas that agree to 12-13 significant digits, which pins how
+    # the memo rounds them.
+    for name, areas in (
+        ("near12-n4", [0.123456789012, 0.1234567890123, 0.4, 0.3]),
+        ("near13-n5", [0.2, 0.2000000000004, 0.19999999999997, 0.25, 0.15]),
+        ("near12-n6", [1.0, 1.000000000001, 1.0000000000004, 2.0, 0.5, 0.4999999999998]),
+    ):
+        cases[name] = rp.make_instance(SQUARE, areas, normalize=True)
+    cases["uniform-n8-1x3"] = _generated("uniform", 8, 18, TALL)
     return cases
 
 
