@@ -8,7 +8,7 @@ flips the axis at the output boundary, nothing else does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Sequence, Union
 
@@ -34,8 +34,11 @@ class Rect:
     h: float
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "w", "h"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        try:
+            for name in ("x", "y", "w", "h"):
+                object.__setattr__(self, name, float(getattr(self, name)))
+        except OverflowError:
+            raise ValueError(f"rectangle field {name} lies beyond the largest double") from None
         if not all(math.isfinite(v) for v in (self.x, self.y, self.w, self.h)):
             raise ValueError(f"rectangle fields must be finite: {self!r}")
         if self.w <= 0 or self.h <= 0:
@@ -123,12 +126,29 @@ class Leaf:
 @dataclass(frozen=True)
 class Internal:
     """One guillotine cut. ``left`` is the left piece of a vertical cut or
-    the top piece of a horizontal one; the children tile ``rect`` exactly."""
+    the top piece of a horizontal one; the children tile ``rect`` exactly.
+    A tree's value is its preorder listing (leaves, and cuts as ``(rect,
+    cut)``): equality, hashing, pickling and copying go through it, so none
+    of them recurses. The repr omits the children."""
 
     rect: Rect
     cut: Cut
-    left: "LayoutTree"
-    right: "LayoutTree"
+    left: "LayoutTree" = field(repr=False)
+    right: "LayoutTree" = field(repr=False)
+
+    def _listing(self) -> tuple[PreorderNode, ...]:
+        return tuple(n if isinstance(n, Leaf) else (n.rect, n.cut) for n in preorder(self))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Internal):
+            return NotImplemented
+        return self._listing() == other._listing()
+
+    def __hash__(self) -> int:
+        return hash(self._listing())
+
+    def __reduce__(self):
+        return tree_from_preorder, (self._listing(),)
 
 
 LayoutTree = Union[Leaf, Internal]
@@ -189,6 +209,14 @@ def iter_leaves(tree: LayoutTree) -> Iterator[Leaf]:
             yield node
 
 
+def _area_floats(areas) -> tuple[float, ...]:
+    """``areas`` as floats; ValueError when one lies beyond the largest double."""
+    try:
+        return tuple(float(a) for a in areas)
+    except OverflowError:
+        raise ValueError("an area lies beyond the largest double") from None
+
+
 def _area_sum(areas: Sequence[float]) -> float:
     """Exact sum of ``areas``; ValueError when it overflows a double."""
     try:
@@ -210,7 +238,7 @@ class Instance:
     areas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "areas", tuple(float(a) for a in self.areas))
+        object.__setattr__(self, "areas", _area_floats(self.areas))
         if len(self.areas) == 0:
             raise ValueError("at least one target area is required")
         if not math.isfinite(self.container.area):
@@ -233,7 +261,7 @@ class Instance:
 def make_instance(container: Rect, areas, *, normalize: bool = False) -> Instance:
     """Build an :class:`Instance`, optionally rescaling the areas so they
     fill the container exactly."""
-    vals = tuple(float(a) for a in areas)
+    vals = _area_floats(areas)
     if normalize:
         if not vals or any(not (math.isfinite(a) and a > 0) for a in vals):
             raise ValueError("normalization needs a non-empty list of positive finite areas")
@@ -242,35 +270,19 @@ def make_instance(container: Rect, areas, *, normalize: bool = False) -> Instanc
     return Instance(container, vals)
 
 
-def _node_key(node: LayoutTree) -> tuple:
-    if isinstance(node, Leaf):
-        return (Leaf, node.rect, node.area_index)
-    return (Internal, node.rect, node.cut)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Layout:
     """Placed panes, one per target area and in the same order, plus the cut
     tree that produced them. ``tree`` is None for layouts loaded from flat
     files that carried no tree.
 
     Two layouts are equal when their rects are equal and their trees list
-    equal nodes (kind, rect, and cut or area index) in preorder; equality and
-    hashing walk the tree iteratively, so deep chains compare fine."""
+    equal nodes (kind, rect, and cut or area index) in preorder, the value
+    of a tree (see :class:`Internal`); so layouts of any depth compare,
+    hash, print, copy and pickle."""
 
     rects: tuple[Rect, ...]
     tree: LayoutTree | None
-
-    def _tree_key(self) -> tuple | None:
-        return None if self.tree is None else tuple(map(_node_key, preorder(self.tree)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Layout):
-            return NotImplemented
-        return self.rects == other.rects and self._tree_key() == other._tree_key()
-
-    def __hash__(self) -> int:
-        return hash((self.rects, self._tree_key()))
 
     def __post_init__(self) -> None:
         # Coverage before agreement: from_tree keeps the last of two leaves

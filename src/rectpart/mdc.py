@@ -25,12 +25,9 @@ def _fold_below_mean(values: list[float], members: list[tuple[int, ...]]):
     tau = math.fsum(values) / k
     # The head is never below the exact mean, but the rounded mean of an
     # all-equal list can exceed it (three 0.2s average 0.20000000000000004),
-    # so i = 1 counts as a missing minorant.
-    i = next((j + 1 for j, a in enumerate(values) if a < tau), None)
-    if i is not None and 1 < i < k:
-        m = i
-    else:
-        m = (k + 1) // 2
+    # so p = 0 counts as a missing minorant.
+    p = _insertion_point(values, tau)
+    m = p + 1 if 0 < p < k - 1 else (k + 1) // 2
     value = math.fsum(values[m - 1 :])
     merged = tuple(sorted(chain.from_iterable(members[m - 1 :])))
     pos = _insertion_point(values[: m - 1], value)

@@ -11,6 +11,9 @@ from dataclasses import dataclass
 
 from .geometry import Instance, Layout
 
+#: Width of the rendered image in pixels; the height keeps the container's aspect.
+PIXEL_WIDTH = 800
+
 #: Fixed fill palette; panes pick a color by hashing their index.
 PALETTE = (
     "#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3",
@@ -25,7 +28,6 @@ class SvgOptions:
     """Rendering knobs: ``labels`` is one of "none", "index", "full"."""
 
     labels: str = "index"
-    pixel_width: int = 800
 
 
 def _color(index: int) -> str:
@@ -38,11 +40,10 @@ def render_svg(layout: Layout, inst: Instance, options: SvgOptions = SvgOptions(
     if options.labels not in ("none", "index", "full"):
         raise ValueError(f'labels must be "none", "index" or "full", got {options.labels!r}')
     c = inst.container
-    px_w = options.pixel_width
-    px_h = max(1, round(px_w * c.h / c.w))
+    px_h = max(1, round(PIXEL_WIDTH * c.h / c.w))
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{px_w}" height="{px_h}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{PIXEL_WIDTH}" height="{px_h}" '
         f'viewBox="{c.x!r} {c.y!r} {c.w!r} {c.h!r}">',
     ]
     for i, r in enumerate(layout.rects):

@@ -10,9 +10,9 @@ from rectpart import Cut, GenSpec, Internal, Layout, Leaf, Rect, aspect_ratio, g
 from rectpart.geometry import OVERLAP_REL_TOL, REL_TOL, LayoutDiagnostics, child_ids
 
 
-def geometric_chain(n=600):
+def geometric_chain(n=600, seed=7):
     """Geometric q=0.5 instance, whose dc layout is a chain about n cuts deep."""
-    return generate(GenSpec(n=n, family="geometric", seed=7, container=Rect(0, 0, 1, 1), q=0.5))
+    return generate(GenSpec(n=n, family="geometric", seed=seed, container=Rect(0, 0, 1, 1), q=0.5))
 
 
 def strip_chain(n):

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -150,6 +152,14 @@ def test_instance_requires_matching_sum():
     for normalize in (False, True):
         with pytest.raises(ValueError, match="largest double"):
             rp.make_instance(container, [1e308, 1e308], normalize=normalize)
+    # integers beyond a double
+    with pytest.raises(ValueError, match="largest double"):
+        rp.Rect(0, 0, 10**400, 1)
+    for normalize in (False, True):
+        with pytest.raises(ValueError, match="largest double"):
+            rp.make_instance(container, [10**400], normalize=normalize)
+    with pytest.raises(ValueError, match="largest double"):
+        rp.Instance(container, (10**400,))
 
 
 def test_validate_layout_accepts_exact_halves():
@@ -218,13 +228,30 @@ def test_layout_from_tree_checks_indices():
     assert lay.rects == (r,)
 
 
+def _round_trips(value):
+    """Copies of ``value`` by pickle (protocol 0 and the highest) and by deepcopy."""
+    pickled = [pickle.loads(pickle.dumps(value, p)) for p in (0, pickle.HIGHEST_PROTOCOL)]
+    return [*pickled, copy.deepcopy(value)]
+
+
 def test_layout_equality_and_hash_do_not_recurse():
-    inst = geometric_chain()
-    a, b = rp.partition_dc(inst), rp.partition_dc(inst)
-    assert a == b and hash(a) == hash(b)
-    assert a != rp.Layout(a.rects, None)
+    # Chains about n cuts deep under both partitioners, at the default
+    # recursion limit: trees compare and hash, layouts print, and copies
+    # by pickle and deepcopy equal the original.
+    for inst in (geometric_chain(), geometric_chain(1000, seed=1)):
+        for partition in (rp.partition_dc, rp.partition_mdc):
+            a, b = partition(inst), partition(inst)
+            assert a == b and hash(a) == hash(b)
+            assert a != rp.Layout(a.rects, None)
+            assert a.tree == b.tree and hash(a.tree) == hash(b.tree)
+            assert repr(a)
+            assert all(copied == a for copied in _round_trips(a))
     chain = strip_chain(3000)
     assert chain == strip_chain(3000) and hash(chain) == hash(strip_chain(3000))
+    tree = chain.tree
+    assert tree == strip_chain(3000).tree and hash(tree) == hash(strip_chain(3000).tree)
+    assert repr(tree)
+    assert all(copied == tree for copied in _round_trips(tree))
 
 
 def test_layout_equality_compares_tree_nodes():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -132,3 +134,24 @@ def test_pairwise_rule_spends_exactly_its_equivalent():
     stats = ReductionStats()
     rp.partition_dc(inst, stats)
     assert stats.iterations == stats.pairwise_equivalent
+
+
+@given(
+    st.lists(
+        st.sampled_from([0.1, 0.2, 0.3, 1.0]) | st.floats(min_value=1e-3, max_value=1e3),
+        min_size=3,
+        max_size=40,
+    )
+)
+@example([0.2] * 3)
+@example([5.0, 4.0, 3.0, 2.0, 1.0])
+@example([6.0, 5.0, 4.0])
+def test_reduce_step_folds_from_first_entry_below_mean(raw):
+    values = sorted(raw, reverse=True)
+    k = len(values)
+    tau = math.fsum(values) / k
+    i = next((j + 1 for j, a in enumerate(values) if a < tau), None)
+    m = i if i is not None and 1 < i < k else math.ceil(k / 2)
+    _, blocks = rp.mdc_reduce_step(values, _singletons(values))
+    folded = [b for b in blocks if len(b.members) > 1]
+    assert folded == [Block(tuple(range(m - 1, k)), math.fsum(values[m - 1 :]))]
