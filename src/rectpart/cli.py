@@ -129,6 +129,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.max_n < 1:
+        raise _UsageError("--max-n must be >= 1")
     inst = parse_instance(Path(args.input).read_bytes())
     _, layout = optimal_guillotine(inst, max_n=args.max_n)
     if not validate_layout(inst, layout).ok:

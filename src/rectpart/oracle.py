@@ -1,14 +1,13 @@
-"""Exhaustive search for the cheapest guillotine tiling of a small instance.
+"""Exact search for the cheapest guillotine tiling of a small instance.
 
-Every node of the search tries every split of its area multiset into two
+Every node of the search considers every split of its area multiset into two
 non-empty groups (2^(n-1) - 1 of them) and both cut orientations, recursing
-on each side. States are memoized on the area multiset and the pane
+on each side. States are memoized on the exact area tuple and the pane
 dimensions, canonicalized up to transposition; the cost of a tiling is
 invariant under transposing the pane, so the swap is lossless. Ties prefer
 the lexicographically smallest group assignment, then a vertical cut, which
-keeps results reproducible. Each area is rounded to 12 significant digits
-once per search, for the memo keys. Non-guillotine partitions are outside the
-search space, so the returned value is the guillotine optimum specifically.
+keeps results reproducible. Non-guillotine partitions are outside the search
+space, so the returned value is the guillotine optimum specifically.
 
 One candidate loop serves the search and the witness. It prices every cut
 through the placer's cut rule (:func:`geometry.cut_extents`), so a cut that
@@ -16,6 +15,22 @@ rounding would leave without a piece is never priced, as no witness could
 make it. The search keeps each pane's cheapest candidate, and the
 partitioners' placer lays out the witness from the first candidate that
 reproduces the memoized optimum.
+
+The loop skips a candidate whose lower bound already exceeds the cheapest
+candidate it has priced so far by more than a relative margin of 1e-9. A
+group's bound is exact for a single area (the piece itself) and otherwise
+sums, per area, the least half-perimeter of a rectangle of that area whose
+shorter side fits the pane's shorter side. While the cuts give each piece
+its area to within the margin, the bound never exceeds a candidate's value
+by more than the margin, so a skipped candidate could not have been the
+cheapest, and each memo entry is still the exact minimum of its state: the
+memo key is the exact state, not a rounding of it, so the entry cannot
+depend on the order in which the search visits states. The skip margin is
+wider than the witness's tie band, so every candidate the witness could
+pick is still priced. Pruning therefore changes neither a value nor a
+witness, except where rounding takes a piece off its area by more than the
+margin; such a witness fails validation anyway, and its value may move in
+the last bits.
 """
 
 from __future__ import annotations
@@ -31,12 +46,6 @@ class OracleSizeError(RuntimeError):
     """Instance is too large for exhaustive search; raised instead of hanging."""
 
 
-def _sig12(v: float) -> float:
-    # 12 significant digits: coarse enough to merge float noise in memo keys,
-    # far finer than any area tolerance at supported sizes.
-    return float(f"{v:.12g}")
-
-
 def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
     """Minimum total half-perimeter over all guillotine tilings, with a witness.
 
@@ -48,12 +57,6 @@ def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
         raise OracleSizeError(f"exhaustive search refused for n={inst.n} > max_n={max_n}")
 
     memo: dict[tuple, float] = {}
-    sig = {a: _sig12(a) for a in inst.areas}
-
-    def key(vals: list[float], w: float, h: float) -> tuple:
-        if w < h:
-            w, h = h, w
-        return (tuple(map(sig.__getitem__, vals)), _sig12(w), _sig12(h))
 
     def split(vals: Sequence, mask: int) -> tuple[list, list]:
         # Bit j-1 of the mask sends element j to the second group; element 0
@@ -66,36 +69,53 @@ def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
                 g1.append(v)
         return g1, g2
 
+    def lower(vals: list[float], w: float, h: float) -> float:
+        # A piece of area a with one side at most s costs at least 2*sqrt(a),
+        # or s + a/s once a square of that area no longer fits.
+        if len(vals) == 1:
+            return w + h
+        s = min(w, h)
+        return sum(s + a / s if a > s * s else 2.0 * math.sqrt(a) for a in vals)
+
     def priced(vals: list[float], w: float, h: float) -> Iterator[tuple[float, int, Cut]]:
-        # (value, mask, cut) of each representable cut of the w x h pane,
-        # masks ascending and the vertical cut first, which is the tie order.
+        # (value, mask, cut) of each representable cut of the w x h pane that
+        # may match the cheapest one, masks ascending and the vertical cut
+        # first, which is the tie order.
+        limit = math.inf
         for mask in range(1, 1 << (len(vals) - 1)):
             g1, g2 = split(vals, mask)
             s1 = math.fsum(g1)
             for cut in (Cut.VERTICAL, Cut.HORIZONTAL):
                 ext = cut_extents(w, h, cut, s1)
-                if ext is not None:
-                    w1, h1, w2, h2 = ext
-                    yield best(g1, w1, h1) + best(g2, w2, h2), mask, cut
+                if ext is None:
+                    continue
+                w1, h1, w2, h2 = ext
+                lower2 = lower(g2, w2, h2)
+                if lower(g1, w1, h1) + lower2 > limit:
+                    continue
+                v1 = best(g1, w1, h1)
+                if v1 + lower2 > limit:
+                    continue
+                v = v1 + best(g2, w2, h2)
+                limit = min(limit, v + 1e-9 * v)
+                yield v, mask, cut
 
     def best(vals: list[float], w: float, h: float) -> float:
         if len(vals) == 1:
             return w + h
-        k = key(vals, w, h)
+        k = (tuple(vals), w, h) if w >= h else (tuple(vals), h, w)
         hit = memo.get(k)
         if hit is not None:
             return hit
-        best_v = math.inf
-        for v, _, _ in priced(vals, w, h):
-            if v < best_v:
-                best_v = v
-        memo[k] = best_v
+        memo[k] = best_v = min((v for v, _, _ in priced(vals, w, h)), default=math.inf)
         return best_v
 
     def choose(rect: Rect, values: list[float]):
-        # The rounded memo keys merge states that differ beyond the 12th
-        # digit, so the stored optimum can be off by ~1e-12 relative for this
-        # exact rect; accept the first candidate within that noise band.
+        # The memo holds the exact optimum of this rect and the loop prices
+        # its candidates as the search did, so the optimum recurs; the band
+        # is a guard, not a tolerance for memo noise. It must stay narrower
+        # than priced's skip margin, so that no candidate it accepts is
+        # skipped.
         target = best(values, rect.w, rect.h)
         if math.isinf(target):
             raise AssertionError(

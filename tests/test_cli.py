@@ -75,6 +75,17 @@ def test_oracle_guard_exit_code(tmp_path):
     assert json.loads(out.read_bytes())["totalHalfPerimeter"] == pytest.approx(18.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_oracle_max_n_below_one_is_a_usage_error(halves_file, tmp_path, capsys, max_n):
+    # Not a guard refusal: no instance could pass such a guard.
+    out = tmp_path / "oracle.json"
+    argv = ["oracle", "--input", str(halves_file), "--max-n", max_n, "--output", str(out)]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["--max-n must be >= 1"]
+    assert not out.exists()
+
+
 def _instance_file(tmp_path, container, areas):
     path = tmp_path / "inst.json"
     path.write_bytes(rp.serialize_instance(rp.make_instance(container, areas, normalize=True)))

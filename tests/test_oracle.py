@@ -1,8 +1,11 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rectpart as rp
+from rectpart.geometry import cut_extents
 
 
 def test_halves_optimum():
@@ -51,17 +54,71 @@ def test_permutation_invariance():
     assert len(values) == 1
 
 
+def _check_sandwich(inst):
+    # forced lower bound <= optimum <= min(dc, mdc), dc within its proven
+    # factor of the optimum, and a valid witness
+    value, witness = rp.optimal_guillotine(inst)
+    layout = rp.partition_dc(inst)
+    dc_total = layout.total_half_perimeter()
+    naive, forced = rp.lower_bound(inst, layout)
+    assert value >= forced - 1e-9
+    assert value >= naive - 1e-9
+    assert value <= dc_total + 1e-9
+    assert value <= rp.partition_mdc(inst).total_half_perimeter() + 1e-9
+    assert dc_total / value <= rp.APPROX_FACTOR + 1e-9
+    assert rp.validate_layout(inst, witness).ok
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_oracle_sandwich_on_small_instances(seed):
     n = 2 + seed % 5
     family = "uniform" if seed % 2 == 0 else "geometric"
     spec = rp.GenSpec(n=n, family=family, seed=seed, container=rp.Rect(0, 0, 1, 1), q=0.6)
-    inst = rp.generate(spec)
+    _check_sandwich(rp.generate(spec))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("family", ["uniform", "geometric"])
+def test_oracle_sandwich_at_n7_to_8(family, n, width, seed):
+    container = rp.Rect(0, 0, width, 1)
+    spec = rp.GenSpec(n=n, family=family, seed=4_000_000 + seed, container=container, q=0.6)
+    _check_sandwich(rp.generate(spec))
+
+
+def _plain_optimum(vals, w, h):
+    # Every guillotine tiling of the pane, each cut made by the placer's cut
+    # rule: no memo and no pruning.
+    if len(vals) == 1:
+        return w + h
+    best = math.inf
+    for k in range(1, len(vals)):
+        for second in itertools.combinations(range(1, len(vals)), k):
+            g1 = [v for i, v in enumerate(vals) if i not in second]
+            g2 = [vals[i] for i in second]
+            for cut in rp.Cut:
+                ext = cut_extents(w, h, cut, math.fsum(g1))
+                if ext is not None:
+                    w1, h1, w2, h2 = ext
+                    best = min(best, _plain_optimum(g1, w1, h1) + _plain_optimum(g2, w2, h2))
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(1, 1), (2, 1), (1, 3)]),
+    st.one_of(
+        st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5),
+        st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=2, max_size=5),
+        st.lists(st.sampled_from([1.0, 1.0, 2.0, 4.0]), min_size=2, max_size=5),
+    ),
+)
+def test_pruned_search_matches_plain_enumeration(extent, raw):
+    container = rp.Rect(0, 0, *extent)
+    inst = rp.make_instance(container, raw, normalize=True)
     value, witness = rp.optimal_guillotine(inst)
-    layout = rp.partition_dc(inst)
-    naive, forced = rp.lower_bound(inst, layout)
-    assert value >= forced - 1e-9
-    assert value >= naive - 1e-9
-    assert value <= layout.total_half_perimeter() + 1e-9
-    assert value <= rp.partition_mdc(inst).total_half_perimeter() + 1e-9
+    plain = _plain_optimum(list(inst.areas), container.w, container.h)
+    assert value == pytest.approx(plain, rel=1e-12)
     assert rp.validate_layout(inst, witness).ok
+    assert witness.total_half_perimeter() == pytest.approx(value, abs=1e-9)

@@ -69,8 +69,8 @@ def oracle_cases():
         for vname, values in (("123", (1.0, 2.0, 3.0)), ("112", (1.0, 1.0, 2.0)), ("124", (1.0, 2.0, 4.0))):
             for n in range(3, 8):
                 cases[f"ties{vname}-n{n}-{cname}"] = _tie_heavy(n, 30 + n, container, values)
-    # Distinct areas that agree to 12-13 significant digits, which pins how
-    # the memo rounds them.
+    # Distinct areas that agree to 12-13 significant digits, which pins that
+    # the memo keeps them apart.
     for name, areas in (
         ("near12-n4", [0.123456789012, 0.1234567890123, 0.4, 0.3]),
         ("near13-n5", [0.2, 0.2000000000004, 0.19999999999997, 0.25, 0.15]),
