@@ -36,70 +36,60 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import (
-    Instance,
-    Internal,
-    Layout,
-    LayoutTree,
-    Leaf,
-    Rect,
-    aspect_ratio,
-    child_ids,
-    half_perimeter,
-    preorder,
-    validate_layout,
-)
+from .geometry import Instance, Layout, LayoutTree, child_ids, tree_columns, validate_layout
 
 #: Coordinate slack for edge containment, relative to the container extent.
 EDGE_TOL = 1e-9
 
 
-def _long_edges(r: Rect) -> list[tuple[str, float, float, float]]:
-    """Long edges as (orientation, line coordinate, span start, span end).
+def _long_edges(x: float, y: float, w: float, h: float) -> list[tuple[str, float, float, float]]:
+    """Long edges of a pane as (orientation, line coordinate, span start, span end).
 
-    Horizontal edges for wide rectangles, vertical for tall ones, all four
-    for exact squares.
+    Horizontal edges for wide panes, vertical for tall ones, all four for
+    exact squares.
     """
-    horiz = [("h", r.y, r.x, r.x + r.w), ("h", r.y + r.h, r.x, r.x + r.w)]
-    vert = [("v", r.x, r.y, r.y + r.h), ("v", r.x + r.w, r.y, r.y + r.h)]
-    if r.w > r.h:
+    horiz = [("h", y, x, x + w), ("h", y + h, x, x + w)]
+    vert = [("v", x, y, y + h), ("v", x + w, y, y + h)]
+    if w > h:
         return horiz
-    if r.h > r.w:
+    if h > w:
         return vert
     return horiz + vert
 
 
 def detect_forced(
-    tree: LayoutTree, areas: Sequence[float], *, per_edge: bool = True
+    tree: LayoutTree | Layout, areas: Sequence[float], *, per_edge: bool = True
 ) -> set[int]:
-    """Ids of forced nodes, indexing the preorder listing of ``tree``.
+    """Ids of forced nodes, indexing the preorder listing of ``tree``, a cut
+    tree or a layout with one.
 
     ``areas`` is the instance's target-area list, looked up through each
-    leaf's ``area_index``; it supplies the largest-constituent test for the
+    leaf's area index; it supplies the largest-constituent test for the
     dominant-area rule. The closure runs as a worklist: forcing a node
     publishes its long edges and, when a single constituent claims at least
     half its area, forces its right child.
     """
-    nodes = preorder(tree)
-    left_id, right_id = child_ids(nodes)
-    n_nodes = len(nodes)
+    nodes = tree.nodes if isinstance(tree, Layout) else tree_columns(tree)
+    if nodes is None:
+        raise ValueError("the layout carries no cut tree")
+    kind, xs, ys, ws, hs = nodes
+    left_id, right_id = child_ids(kind)
+    n_nodes = len(kind)
 
     a_max = [0.0] * n_nodes
     for i in range(n_nodes - 1, -1, -1):
-        node = nodes[i]
-        if isinstance(node, Leaf):
-            if not 0 <= node.area_index < len(areas):
-                raise ValueError(f"leaf index {node.area_index} outside the area list")
-            a_max[i] = float(areas[node.area_index])
+        if left_id[i] < 0:
+            if not 0 <= kind[i] < len(areas):
+                raise ValueError(f"leaf index {kind[i]} outside the area list")
+            a_max[i] = float(areas[kind[i]])
         else:
             a_max[i] = max(a_max[left_id[i]], a_max[right_id[i]])
 
-    root = nodes[0].rect
-    tol = EDGE_TOL * max(root.w, root.h)
+    tol = EDGE_TOL * max(ws[0], hs[0])
 
     # All candidate long edges, bucketed by orientation and sorted by their
     # supporting line so a forced edge only scans nearby candidates.
-    edges_of = [_long_edges(node.rect) for node in nodes]
+    edges_of = list(map(_long_edges, xs, ys, ws, hs))
     cand: dict[str, list[tuple[float, float, float, int, int]]] = {"h": [], "v": []}
     for i, edges in enumerate(edges_of):
         for slot, (orient, c, lo, hi) in enumerate(edges):
@@ -120,8 +110,7 @@ def detect_forced(
     force(0)
     while queue:
         f = queue.pop()
-        node = nodes[f]
-        if isinstance(node, Internal) and a_max[f] >= 0.5 * node.rect.area * (1.0 - 1e-12):
+        if left_id[f] >= 0 and a_max[f] >= 0.5 * (ws[f] * hs[f]) * (1.0 - 1e-12):
             force(right_id[f])
         by_f: dict[int, int] = {}  # the bits that f alone covers, per candidate
         for orient, c, lo, hi in edges_of[f]:
@@ -181,18 +170,17 @@ def report(inst: Instance, layout: Layout) -> QualityReport:
 def _report_valid(inst: Instance, layout: Layout) -> QualityReport:
     """:func:`report` for a layout the caller has already validated."""
     flags = [False] * inst.n
-    tree = layout.tree
-    if tree is None and inst.n == 1:
+    if layout.nodes is not None:
+        kind = layout.nodes[0]
+        for node_id in detect_forced(layout, inst.areas):
+            if isinstance(kind[node_id], int):
+                flags[kind[node_id]] = True
+    elif inst.n == 1:
         # A flat single-pane layout is the container itself, hence forced.
-        tree = Leaf(layout.rects[0], 0)
-    if tree is not None:
-        forced = detect_forced(tree, inst.areas)
-        for node_id, node in enumerate(preorder(tree)):
-            if node_id in forced and isinstance(node, Leaf):
-                flags[node.area_index] = True
+        flags[0] = True
+    _, _, ws, hs = layout.panes
     per = tuple(
-        PaneQuality(i, half_perimeter(r), aspect_ratio(r), flags[i])
-        for i, r in enumerate(layout.rects)
+        PaneQuality(i, w + h, max(w / h, h / w), flags[i]) for i, (w, h) in enumerate(zip(ws, hs))
     )
     forced_aware = math.fsum(
         p.half_perimeter if p.forced else 2.0 * math.sqrt(a) for p, a in zip(per, inst.areas)

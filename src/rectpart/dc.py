@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .geometry import (
-    Cut, Instance, Layout, Leaf, PreorderNode, Rect, cut_for, split_rect, tree_from_preorder
-)
+from .geometry import Cut, Instance, Layout, check_pane, cut_across, cut_pane
+from .geometry import split_rect  # noqa: F401  (perfbench's tracer wraps dc.split_rect)
 
 #: Worst-case ratio between the produced total half-perimeter and the best
 #: possible one, over all instances.
@@ -112,35 +111,39 @@ def bipartition_two_smallest(
 
 Reducer = Callable[[Sequence[float], "ReductionStats | None"], tuple[Block, Block]]
 
-Choice = tuple[Cut, Rect, Rect, Sequence[int], Sequence[int]]
+#: A node's choice: the cut, the first piece's area and the ascending
+#: positions of the values that go to each piece.
+Choice = tuple[Cut, float, Sequence[int], Sequence[int]]
 
 
-def _place(inst: Instance, choose: Callable[[Rect, list[float]], Choice]) -> Layout:
-    # The one tree builder. Each job is a rect with its block's sorted values
-    # and area indices; choose(rect, values) returns the cut, the two pieces
-    # (left or top first) and the ascending positions each piece takes. The
-    # second piece is pushed first, so the choices run in preorder, the order
-    # tree_from_preorder reads the nodes in.
+def _place(inst: Instance, choose: Callable[[float, float, list[float]], Choice]) -> Layout:
+    # The one tree builder. Each job is a pane (x, y, w, h) with its block's
+    # sorted values and area indices; choose(w, h, values) picks the cut and
+    # cut_pane makes the pieces. The second piece is pushed first, so the
+    # nodes come out in preorder, one row (kind, x, y, w, h) each, and no
+    # pane object is built.
     values, perm = sort_descending(inst.areas)
-    nodes: list[PreorderNode] = []
-    stack = [(inst.container, values, perm)]
+    c = inst.container
+    rows: list[tuple] = []
+    stack = [((c.x, c.y, c.w, c.h), values, perm)]
     while stack:
-        rect, values, indices = stack.pop()
+        pane, values, indices = stack.pop()
+        check_pane(*pane)
         if len(values) == 1:
-            nodes.append(Leaf(rect, indices[0]))
+            rows.append((indices[0], *pane))
             continue
-        cut, first, second, m1, m2 = choose(rect, values)
-        nodes.append((rect, cut))
+        cut, a1, m1, m2 = choose(pane[2], pane[3], values)
+        rows.append((cut, *pane))
+        first, second = cut_pane(*pane, cut, a1)
         stack.append((second, [values[i] for i in m2], [indices[i] for i in m2]))
         stack.append((first, [values[i] for i in m1], [indices[i] for i in m1]))
-    return Layout.from_tree(tree_from_preorder(nodes), inst.n)
+    return Layout.of_columns(inst.n, tuple(zip(*rows)))  # type: ignore[arg-type]
 
 
 def _partition(inst: Instance, reduce_to_two: Reducer, stats: ReductionStats | None) -> Layout:
-    def choose(rect: Rect, values: list[float]):
+    def choose(w: float, h: float, values: list[float]) -> Choice:
         b1, b2 = reduce_to_two(values, stats)
-        first, second = split_rect(rect, b1.total)
-        return cut_for(rect), first, second, b1.members, b2.members
+        return cut_across(w, h), b1.total, b1.members, b2.members
 
     return _place(inst, choose)
 

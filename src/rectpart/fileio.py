@@ -24,8 +24,9 @@ Layout and report documents are written compactly (no indentation or spaces),
 which lets ``json`` use its C encoder; instance documents keep two-space
 indentation. Numbers are IEEE-754 doubles written with Python's shortest
 round-trip repr (at most 17 significant digits), so parse(serialize(x))
-reproduces x bit for bit. The instance format stores extents only and places
-the container at the origin.
+reproduces x bit for bit. Layout and report documents never hold NaN or
+Infinity, which JSON lacks (RFC 8259). The instance format stores extents
+only and places the container at the origin.
 """
 
 from __future__ import annotations
@@ -40,13 +41,12 @@ from .geometry import (
     Cut,
     Instance,
     Layout,
-    LayoutTree,
-    Leaf,
-    PreorderNode,
+    NodeColumns,
+    Pane,
+    PaneColumns,
     Rect,
+    child_ids,
     make_instance,
-    preorder,
-    tree_from_preorder,
 )
 
 #: Format version written by :func:`serialize_layout`.
@@ -69,7 +69,7 @@ def _loads(data: bytes | str) -> Any:
 
 
 def _dumps(doc: Any) -> bytes:
-    return (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
+    return (json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n").encode("utf-8")
 
 
 def _number(obj: Any, what: str) -> float:
@@ -121,46 +121,43 @@ def serialize_instance(inst: Instance) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
-def _rect_to_obj(r: Rect) -> dict:
-    return {"x": r.x, "y": r.y, "width": r.w, "height": r.h}
+def _pane_obj(x: float, y: float, w: float, h: float) -> dict:
+    return {"x": x, "y": y, "width": w, "height": h}
 
 
-def _rect_from_obj(obj: Any, what: str) -> Rect:
+def _pane_from_obj(obj: Any, what: str) -> Pane:
+    # Rect's checks: finite numbers, positive extents.
     if not isinstance(obj, dict):
         raise FileFormatError(f"{what} must be an object")
-    try:
-        return Rect(
-            _number(obj.get("x"), f"{what}.x"),
-            _number(obj.get("y"), f"{what}.y"),
-            _positive(obj.get("width"), f"{what}.width"),
-            _positive(obj.get("height"), f"{what}.height"),
-        )
-    except ValueError as e:
-        raise FileFormatError(str(e)) from e
-
-
-def _node_to_obj(node: LayoutTree) -> dict:
-    if isinstance(node, Leaf):
-        return {"index": node.area_index, "rect": _rect_to_obj(node.rect)}
-    return {"cut": node.cut.value, "rect": _rect_to_obj(node.rect)}
+    return (
+        _number(obj.get("x"), f"{what}.x"),
+        _number(obj.get("y"), f"{what}.y"),
+        _positive(obj.get("width"), f"{what}.width"),
+        _positive(obj.get("height"), f"{what}.height"),
+    )
 
 
 def serialize_layout(layout: Layout, *, include_tree: bool = False) -> bytes:
     doc: dict[str, Any] = {
         "version": LAYOUT_VERSION,
         "rects": [
-            {"index": i, **_rect_to_obj(r)} for i, r in enumerate(layout.rects)
+            {"index": i, "x": x, "y": y, "width": w, "height": h}
+            for i, (x, y, w, h) in enumerate(zip(*layout.panes))
         ],
         "totalHalfPerimeter": layout.total_half_perimeter(),
     }
-    if include_tree and layout.tree is not None:
-        doc["tree"] = [_node_to_obj(node) for node in preorder(layout.tree)]
+    if include_tree and layout.nodes is not None:
+        doc["tree"] = [
+            {"index": k, "rect": _pane_obj(*pane)} if isinstance(k, int)
+            else {"cut": k.value, "rect": _pane_obj(*pane)}
+            for k, *pane in zip(*layout.nodes)
+        ]
     return _dumps(doc)
 
 
 def _preorder_v1(root: Any) -> list:
     """The nodes of a version 1 nested tree in preorder, as version 2 lists
-    them (the builder ignores their "left" and "right" keys)."""
+    them (the reader ignores their "left" and "right" keys)."""
     out: list = []
     stack = [root]
     while stack:
@@ -174,37 +171,38 @@ def _preorder_v1(root: Any) -> list:
     return out
 
 
-def _node_from_obj(obj: Any, i: int) -> PreorderNode:
+def _node_from_obj(obj: Any, i: int) -> tuple:
+    """One row of the tree's columns: kind, x, y, w, h."""
     if not isinstance(obj, dict):
         raise FileFormatError(f"tree node {i} must be an object")
-    rect = _rect_from_obj(obj.get("rect"), f"tree node {i} rect")
+    pane = _pane_from_obj(obj.get("rect"), f"tree node {i} rect")
     if "index" in obj:
         idx = obj["index"]
         if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
             raise FileFormatError(f"leaf index must be a non-negative integer, got {idx!r}")
-        return Leaf(rect, idx)
+        return (idx, *pane)
     cut = obj.get("cut")
     if cut not in (Cut.VERTICAL.value, Cut.HORIZONTAL.value):
         raise FileFormatError(f'internal tree nodes need "cut" of "vertical" or "horizontal", got {cut!r}')
-    return rect, Cut(cut)
+    return (Cut(cut), *pane)
 
 
-def _check_cuts(tree: LayoutTree) -> None:
+def _check_cuts(nodes: NodeColumns, left: list[int], right: list[int]) -> None:
     """Reject internal nodes whose children do not tile them along their cut, left/top first."""
-    root = tree.rect
-    tol = REL_TOL * max(root.w, root.h)
-    for i, node in enumerate(preorder(tree)):
-        if isinstance(node, Leaf):
+    kind, x, y, w, h = nodes
+    tol = REL_TOL * max(w[0], h[0])
+    for i, cut in enumerate(kind):
+        if left[i] < 0:
             continue
-        r, a, b = node.rect, node.left.rect, node.right.rect
-        if node.cut is Cut.VERTICAL:
-            want = (r.x, r.y, a.w, r.h, r.x + a.w, r.y, r.w - a.w, r.h)
+        a, b = left[i], right[i]
+        if cut is Cut.VERTICAL:
+            want = (x[i], y[i], w[a], h[i], x[i] + w[a], y[i], w[i] - w[a], h[i])
         else:
-            want = (r.x, r.y + r.h - a.h, r.w, a.h, r.x, r.y, r.w, r.h - a.h)
-        got = (a.x, a.y, a.w, a.h, b.x, b.y, b.w, b.h)
-        if any(abs(g - w) > tol for g, w in zip(got, want)):
+            want = (x[i], y[i] + h[i] - h[a], w[i], h[a], x[i], y[i], w[i], h[i] - h[a])
+        got = (x[a], y[a], w[a], h[a], x[b], y[b], w[b], h[b])
+        if any(abs(g - v) > tol for g, v in zip(got, want)):
             raise FileFormatError(
-                f"the children of tree node {i} do not tile it along its {node.cut.value} cut"
+                f"the children of tree node {i} do not tile it along its {cut.value} cut"
             )
 
 
@@ -225,7 +223,7 @@ def parse_layout(data: bytes | str) -> Layout:
     if not isinstance(entries, list) or not entries:
         raise FileFormatError("at least one rect is required")
     n = len(entries)
-    slots: list[Rect | None] = [None] * n
+    slots: list[Pane | None] = [None] * n
     for e in entries:
         if not isinstance(e, dict) or "index" not in e:
             raise FileFormatError('each rect entry needs an "index"')
@@ -234,37 +232,46 @@ def parse_layout(data: bytes | str) -> Layout:
             raise FileFormatError(f"rect index {idx!r} outside 0..{n - 1}")
         if slots[idx] is not None:
             raise FileFormatError(f"rect index {idx} appears twice")
-        slots[idx] = _rect_from_obj(e, f"rects[{idx}]")
-    rects = tuple(slots)  # type: ignore[arg-type]
+        slots[idx] = _pane_from_obj(e, f"rects[{idx}]")
+    panes: PaneColumns = tuple(zip(*slots))  # type: ignore[assignment]
     if "tree" not in doc:
-        return Layout(rects, None)
-    nodes = doc["tree"]
+        return Layout.of_columns(n, None, panes)
+    objs = doc["tree"]
     if version == 1:
-        nodes = _preorder_v1(nodes)
-    elif not isinstance(nodes, list):
+        objs = _preorder_v1(objs)
+    elif not isinstance(objs, list):
         raise FileFormatError('"tree" must be a list of nodes in preorder')
-    parsed = [_node_from_obj(obj, i) for i, obj in enumerate(nodes)]
+    rows = [_node_from_obj(obj, i) for i, obj in enumerate(objs)]
+    nodes: NodeColumns = tuple(zip(*rows))  # type: ignore[assignment]
     try:
-        tree = tree_from_preorder(parsed)
-        layout = Layout(rects, tree)
+        left, right = child_ids(nodes[0] if nodes else ())
+        layout = Layout.of_columns(n, nodes, panes)
     except ValueError as e:
         raise FileFormatError(str(e)) from e
-    _check_cuts(tree)
+    _check_cuts(nodes, left, right)
     return layout
 
 
+def _ratio(r: float) -> float | None:
+    return r if r != math.inf else None
+
+
 def report_to_json(rep: QualityReport) -> bytes:
+    """The report as a JSON document. An aspect ratio beyond the largest
+    double (a pane whose sides differ by more than that factor) is written
+    as null, which keeps the document valid JSON; :class:`QualityReport`
+    itself keeps ``inf``."""
     doc = {
         "totalHalfPerimeter": rep.total_half_perimeter,
         "naiveLowerBound": rep.naive_lower_bound,
         "forcedAwareLowerBound": rep.forced_aware_lower_bound,
         "approxRatio": rep.approx_ratio,
-        "maxAspectRatio": rep.max_aspect_ratio,
+        "maxAspectRatio": _ratio(rep.max_aspect_ratio),
         "perRect": [
             {
                 "index": p.index,
                 "halfPerimeter": p.half_perimeter,
-                "aspectRatio": p.aspect_ratio,
+                "aspectRatio": _ratio(p.aspect_ratio),
                 "isForced": p.forced,
             }
             for p in rep.per_rect

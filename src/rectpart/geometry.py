@@ -8,6 +8,7 @@ flips the axis at the output boundary, nothing else does.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Sequence, Union
@@ -39,14 +40,22 @@ class Rect:
                 object.__setattr__(self, name, float(getattr(self, name)))
         except OverflowError:
             raise ValueError(f"rectangle field {name} lies beyond the largest double") from None
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.w, self.h)):
-            raise ValueError(f"rectangle fields must be finite: {self!r}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"rectangle extents must be positive: w={self.w}, h={self.h}")
+        check_pane(self.x, self.y, self.w, self.h)
 
     @property
     def area(self) -> float:
         return self.w * self.h
+
+
+def check_pane(x: float, y: float, w: float, h: float) -> None:
+    """:class:`Rect`'s tests on a pane given by its fields: ValueError unless
+    all four are finite and both extents positive."""
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
+        raise ValueError(
+            f"rectangle fields must be finite: Rect(x={x!r}, y={y!r}, w={w!r}, h={h!r})"
+        )
+    if w <= 0 or h <= 0:
+        raise ValueError(f"rectangle extents must be positive: w={w}, h={h}")
 
 
 def half_perimeter(r: Rect) -> float:
@@ -67,15 +76,20 @@ class Cut(Enum):
 
 
 def cut_for(q: Rect) -> Cut:
-    """The partitioners' cut for ``q``: vertical when it is wider than tall,
-    horizontal otherwise."""
-    return Cut.VERTICAL if q.w > q.h else Cut.HORIZONTAL
+    """The partitioners' cut for ``q``: see :func:`cut_across`."""
+    return cut_across(q.w, q.h)
+
+
+def cut_across(w: float, h: float) -> Cut:
+    """The partitioners' cut of a ``w`` x ``h`` pane: vertical when it is
+    wider than tall, horizontal otherwise."""
+    return Cut.VERTICAL if w > h else Cut.HORIZONTAL
 
 
 def cut_extents(
     w: float, h: float, cut: Cut, a1: float
 ) -> tuple[float, float, float, float] | None:
-    """Extents ``(w1, h1, w2, h2)`` of the two pieces of :func:`cut_rect` on a
+    """Extents ``(w1, h1, w2, h2)`` of the two pieces of :func:`cut_pane` on a
     ``w`` x ``h`` pane, or None when ``a1`` lies outside (0, w*h) or rounding
     leaves a piece without positive extent.
 
@@ -93,21 +107,31 @@ def cut_extents(
     return (w, h1, w, h2) if h1 > 0.0 and h2 > 0.0 else None
 
 
-def cut_rect(q: Rect, cut: Cut, a1: float) -> tuple[Rect, Rect]:
-    """Cut ``q`` along ``cut`` into two pieces, the first of which has area
-    ``a1``: the left piece of a vertical cut, the top piece of a horizontal one.
-    The pieces take the extents that :func:`cut_extents` gives; where it
-    gives None, raises ValueError.
+Pane = tuple[float, float, float, float]
+
+
+def cut_pane(x: float, y: float, w: float, h: float, cut: Cut, a1: float) -> tuple[Pane, Pane]:
+    """Cut the pane ``(x, y, w, h)`` along ``cut`` into two panes, the first
+    of which has area ``a1``: the left piece of a vertical cut, the top piece
+    of a horizontal one. The pieces take the extents that
+    :func:`cut_extents` gives; where it gives None, raises ValueError.
     """
-    ext = cut_extents(q.w, q.h, cut, a1)
+    ext = cut_extents(w, h, cut, a1)
     if ext is None:
         raise ValueError(
-            f"a {cut.value} cut of {q} at first-piece area {a1} leaves a piece without extent"
+            f"a {cut.value} cut of Rect(x={x!r}, y={y!r}, w={w!r}, h={h!r}) "
+            f"at first-piece area {a1} leaves a piece without extent"
         )
     w1, h1, w2, h2 = ext
     if cut is Cut.VERTICAL:
-        return Rect(q.x, q.y, w1, h1), Rect(q.x + w1, q.y, w2, h2)
-    return Rect(q.x, q.y + h2, w1, h1), Rect(q.x, q.y, w2, h2)
+        return (x, y, w1, h1), (x + w1, y, w2, h2)
+    return (x, y + h2, w1, h1), (x, y, w2, h2)
+
+
+def cut_rect(q: Rect, cut: Cut, a1: float) -> tuple[Rect, Rect]:
+    """:func:`cut_pane` on ``q``, with the pieces as rects."""
+    first, second = cut_pane(q.x, q.y, q.w, q.h, cut, a1)
+    return Rect(*first), Rect(*second)
 
 
 def split_rect(q: Rect, a1: float) -> tuple[Rect, Rect]:
@@ -127,48 +151,51 @@ class Leaf:
 class Internal:
     """One guillotine cut. ``left`` is the left piece of a vertical cut or
     the top piece of a horizontal one; the children tile ``rect`` exactly.
-    A tree's value is its preorder listing (leaves, and cuts as ``(rect,
-    cut)``): equality, hashing, pickling and copying go through it, so none
-    of them recurses. The repr omits the children."""
+    A tree's value is its columns (see :func:`tree_columns`): equality,
+    hashing, pickling and copying go through them, so none of them recurses.
+    The repr omits the children."""
 
     rect: Rect
     cut: Cut
     left: "LayoutTree" = field(repr=False)
     right: "LayoutTree" = field(repr=False)
 
-    def _listing(self) -> tuple[PreorderNode, ...]:
-        return tuple(n if isinstance(n, Leaf) else (n.rect, n.cut) for n in preorder(self))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Internal):
             return NotImplemented
-        return self._listing() == other._listing()
+        return tree_columns(self) == tree_columns(other)
 
     def __hash__(self) -> int:
-        return hash(self._listing())
+        return hash(tree_columns(self))
 
     def __reduce__(self):
-        return tree_from_preorder, (self._listing(),)
+        return tree_of_columns, (tree_columns(self),)
 
 
 LayoutTree = Union[Leaf, Internal]
 
-#: A cut-tree node listed in preorder before assembly: a leaf, or an
-#: internal node's (rect, cut) pair.
-PreorderNode = Union[Leaf, tuple[Rect, Cut]]
+#: A cut tree as five columns in preorder (each parent, then its left
+#: subtree, then its right subtree): the kind of each node, which is a
+#: leaf's area index or an internal node's :class:`Cut`, then the x, y, w
+#: and h of its pane.
+NodeColumns = tuple[tuple, tuple, tuple, tuple, tuple]
+
+#: Panes as four columns, x, y, w and h, in area-index order.
+PaneColumns = tuple[tuple, tuple, tuple, tuple]
 
 
-def child_ids(nodes: Sequence[PreorderNode | Internal]) -> tuple[list[int], list[int]]:
+def child_ids(nodes: Sequence) -> tuple[list[int], list[int]]:
     """Left and right child ids of each node in a preorder listing, -1 for a
-    :class:`Leaf` (any other node is internal). Raises ValueError unless the
-    listing forms exactly one tree."""
+    leaf. The listing holds tree nodes or a kind column: a :class:`Leaf` or
+    an area index is a leaf, anything else is internal. Raises ValueError
+    unless the listing forms exactly one tree."""
     left = [-1] * len(nodes)
     right = [-1] * len(nodes)
     stack: list[int] = []
     # Scanning backwards completes both subtrees of a node, left on top,
     # before the node itself is reached.
     for i in range(len(nodes) - 1, -1, -1):
-        if not isinstance(nodes[i], Leaf):
+        if not isinstance(nodes[i], (int, Leaf)):
             if len(stack) < 2:
                 raise ValueError(f"internal tree node {i} lacks a child")
             left[i] = stack.pop()
@@ -179,14 +206,29 @@ def child_ids(nodes: Sequence[PreorderNode | Internal]) -> tuple[list[int], list
     return left, right
 
 
-def tree_from_preorder(nodes: Sequence[PreorderNode]) -> LayoutTree:
-    """The cut tree listed by ``nodes``: each parent, then its left subtree,
-    then its right subtree."""
-    left, right = child_ids(nodes)
-    built: list = list(nodes)
-    for i in range(len(nodes) - 1, -1, -1):
-        if left[i] >= 0:
-            built[i] = Internal(*nodes[i], built[left[i]], built[right[i]])
+def tree_columns(tree: LayoutTree) -> NodeColumns:
+    """The columns of ``tree``, read in one walk of its preorder listing."""
+    rows = [
+        (node.area_index if isinstance(node, Leaf) else node.cut, *_xywh(node.rect))
+        for node in preorder(tree)
+    ]
+    return tuple(zip(*rows))  # type: ignore[return-value]
+
+
+def _xywh(r: Rect) -> Pane:
+    return r.x, r.y, r.w, r.h
+
+
+def tree_of_columns(nodes: NodeColumns) -> LayoutTree:
+    """The cut tree whose columns are ``nodes``."""
+    kind = nodes[0]
+    left, right = child_ids(kind)
+    built: list = list(map(Rect, *nodes[1:]))
+    for i in range(len(kind) - 1, -1, -1):
+        if left[i] < 0:
+            built[i] = Leaf(built[i], kind[i])
+        else:
+            built[i] = Internal(built[i], kind[i], built[left[i]], built[right[i]])
     return built[0]
 
 
@@ -270,49 +312,118 @@ def make_instance(container: Rect, areas, *, normalize: bool = False) -> Instanc
     return Instance(container, vals)
 
 
-@dataclass(frozen=True)
+def _leaf_ids(kind: Sequence, n: int) -> list[int]:
+    """Node id of each area index's leaf in a kind column; ValueError unless
+    the leaves cover 0..n-1 exactly once."""
+    leaf = [-1] * n
+    for i, k in enumerate(kind):
+        if isinstance(k, int):
+            if not 0 <= k < n:
+                raise ValueError(f"leaf index {k} out of range for n={n}")
+            if leaf[k] >= 0:
+                raise ValueError(f"area index {k} appears in two leaves")
+            leaf[k] = i
+    if -1 in leaf:
+        missing = [k for k, i in enumerate(leaf) if i < 0]
+        raise ValueError(f"tree has no leaf for area indices {missing}")
+    return leaf
+
+
 class Layout:
     """Placed panes, one per target area and in the same order, plus the cut
     tree that produced them. ``tree`` is None for layouts loaded from flat
     files that carried no tree.
 
-    Two layouts are equal when their rects are equal and their trees list
-    equal nodes (kind, rect, and cut or area index) in preorder, the value
-    of a tree (see :class:`Internal`); so layouts of any depth compare,
-    hash, print, copy and pickle."""
+    A layout holds columns: ``panes`` (:data:`PaneColumns`) and ``nodes``,
+    the tree's :data:`NodeColumns`, or None without a tree. The placer and
+    the file reader write them directly, ``Layout(rects, tree)`` reads them
+    off the objects, and ``rects`` and ``tree`` are built from them on first
+    read. A tree's leaves must cover the area indices exactly once and agree
+    with the rects.
 
-    rects: tuple[Rect, ...]
-    tree: LayoutTree | None
+    Two layouts are equal when their columns are: their rects are equal and
+    their trees list equal nodes (kind and pane) in preorder, the value of a
+    tree (see :class:`Internal`); so layouts of any depth compare, hash,
+    print, copy and pickle."""
 
-    def __post_init__(self) -> None:
-        # Coverage before agreement: from_tree keeps the last of two leaves
-        # with one index, so the first would otherwise read as a disagreement.
-        if self.tree is None:
-            return
-        n = len(self.rects)
-        leaves = list(iter_leaves(self.tree))
-        seen = [False] * n
-        for leaf in leaves:
-            if not 0 <= leaf.area_index < n:
-                raise ValueError(f"leaf index {leaf.area_index} out of range for n={n}")
-            if seen[leaf.area_index]:
-                raise ValueError(f"area index {leaf.area_index} appears in two leaves")
-            seen[leaf.area_index] = True
-        if not all(seen):
-            missing = [i for i, hit in enumerate(seen) if not hit]
-            raise ValueError(f"tree has no leaf for area indices {missing}")
-        for leaf in leaves:
-            if self.rects[leaf.area_index] != leaf.rect:
-                raise ValueError(f"rects[{leaf.area_index}] disagrees with its leaf")
+    __slots__ = ("_panes", "_nodes", "_rects", "_tree")
+
+    def __init__(self, rects: Sequence[Rect], tree: LayoutTree | None) -> None:
+        rects = tuple(rects)
+        panes = tuple(zip(*map(_xywh, rects))) or ((), (), (), ())
+        self._set(len(rects), None if tree is None else tree_columns(tree), panes)
+        self._rects, self._tree = rects, tree
+
+    @classmethod
+    def of_columns(
+        cls, n: int, nodes: NodeColumns | None, panes: PaneColumns | None = None
+    ) -> "Layout":
+        """The layout of ``n`` panes with tree columns ``nodes`` and pane
+        columns ``panes``; either may be None, not both. Without ``panes``
+        the panes are the tree's leaves."""
+        layout = cls.__new__(cls)
+        layout._set(n, nodes, panes)
+        return layout
+
+    def _set(self, n: int, nodes: NodeColumns | None, panes: PaneColumns | None) -> None:
+        if nodes is not None:
+            nodes = tuple(map(tuple, nodes))  # type: ignore[assignment]
+            # Coverage before agreement, so that a duplicated leaf is named as such.
+            leaf = _leaf_ids(nodes[0], n)
+            placed = tuple(tuple([col[i] for i in leaf]) for col in nodes[1:])
+            if panes is not None and panes != placed:
+                bad = next(
+                    k for k in range(n) if any(p[k] != q[k] for p, q in zip(panes, placed))
+                )
+                raise ValueError(f"rects[{bad}] disagrees with its leaf")
+            panes = placed  # type: ignore[assignment]
+        self._panes, self._nodes = panes, nodes
+        self._rects = self._tree = None
 
     @classmethod
     def from_tree(cls, tree: LayoutTree, n: int) -> "Layout":
         """The layout of the tree's leaves; raises ValueError unless they cover 0..n-1 once."""
-        rects = {leaf.area_index: leaf.rect for leaf in iter_leaves(tree)}
-        return cls(tuple(rects.get(i) for i in range(n)), tree)  # type: ignore[arg-type]
+        layout = cls.of_columns(n, tree_columns(tree))
+        layout._tree = tree
+        return layout
+
+    @property
+    def panes(self) -> PaneColumns:
+        return self._panes
+
+    @property
+    def nodes(self) -> NodeColumns | None:
+        return self._nodes
+
+    @property
+    def rects(self) -> tuple[Rect, ...]:
+        if self._rects is None:
+            self._rects = tuple(map(Rect, *self._panes))
+        return self._rects
+
+    @property
+    def tree(self) -> LayoutTree | None:
+        if self._tree is None and self._nodes is not None:
+            self._tree = tree_of_columns(self._nodes)
+        return self._tree
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Layout):
+            return NotImplemented
+        return (self._panes, self._nodes) == (other._panes, other._nodes)
+
+    def __hash__(self) -> int:
+        return hash((self._panes, self._nodes))
+
+    def __repr__(self) -> str:
+        return f"Layout(rects={self.rects!r}, tree={self.tree!r})"
+
+    def __reduce__(self):
+        return Layout.of_columns, (len(self._panes[0]), self._nodes, self._panes)
 
     def total_half_perimeter(self) -> float:
-        return math.fsum(r.w + r.h for r in self.rects)
+        _, _, w, h = self._panes
+        return math.fsum(map(operator.add, w, h))
 
 
 @dataclass(frozen=True)
@@ -414,13 +525,10 @@ def validate_layout(inst: Instance, layout: Layout) -> LayoutDiagnostics:
     ``i < j``, in lexicographic order.
     """
     n = inst.n
-    if len(layout.rects) != n:
-        raise ValueError(f"layout carries {len(layout.rects)} rects for {n} areas")
+    if len(layout.panes[0]) != n:
+        raise ValueError(f"layout carries {len(layout.panes[0])} rects for {n} areas")
     c = inst.container
-    x = np.fromiter((r.x for r in layout.rects), dtype=float, count=n)
-    y = np.fromiter((r.y for r in layout.rects), dtype=float, count=n)
-    w = np.fromiter((r.w for r in layout.rects), dtype=float, count=n)
-    h = np.fromiter((r.h for r in layout.rects), dtype=float, count=n)
+    x, y, w, h = (np.array(col, dtype=float) for col in layout.panes)
     target = np.asarray(inst.areas, dtype=float)
 
     areas = w * h

@@ -39,7 +39,7 @@ import math
 from typing import Iterator, Sequence
 
 from .dc import _place
-from .geometry import Cut, Instance, Layout, Rect, cut_extents, cut_rect
+from .geometry import Cut, Instance, Layout, cut_extents
 
 
 class OracleSizeError(RuntimeError):
@@ -110,23 +110,26 @@ def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
         memo[k] = best_v = min((v for v, _, _ in priced(vals, w, h)), default=math.inf)
         return best_v
 
-    def choose(rect: Rect, values: list[float]):
-        # The memo holds the exact optimum of this rect and the loop prices
+    def choose(w: float, h: float, values: list[float]):
+        # The memo holds the exact optimum of this pane and the loop prices
         # its candidates as the search did, so the optimum recurs; the band
         # is a guard, not a tolerance for memo noise. It must stay narrower
         # than priced's skip margin, so that no candidate it accepts is
         # skipped.
-        target = best(values, rect.w, rect.h)
+        target = best(values, w, h)
         if math.isinf(target):
             raise AssertionError(
                 "no guillotine cut of the pane is representable in floating point"
             )
         limit = target + 1e-10 * target
-        for v, mask, cut in priced(values, rect.w, rect.h):
+        for v, mask, cut in priced(values, w, h):
             if v <= limit:
-                a, b = cut_rect(rect, cut, math.fsum(split(values, mask)[0]))
-                return (cut, a, b, *split(range(len(values)), mask))
+                return (cut, math.fsum(split(values, mask)[0]), *split(range(len(values)), mask))
         raise AssertionError("memoized optimum could not be reproduced")
 
     value = best(sorted(inst.areas, reverse=True), inst.container.w, inst.container.h)
-    return value, _place(inst, choose)
+    layout = _place(inst, choose)
+    # best and priced call each other, so their closures form a reference
+    # cycle that only the cycle collector would free: release the memo now.
+    memo.clear()
+    return value, layout

@@ -7,7 +7,9 @@ flipped, because SVG grows downward while layouts grow upward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .geometry import Instance, Layout
 
@@ -40,24 +42,26 @@ def render_svg(layout: Layout, inst: Instance, options: SvgOptions = SvgOptions(
     if options.labels not in ("none", "index", "full"):
         raise ValueError(f'labels must be "none", "index" or "full", got {options.labels!r}')
     c = inst.container
-    px_h = max(1, round(PIXEL_WIDTH * c.h / c.w))
+    ratio = PIXEL_WIDTH * c.h / c.w
+    # Where the quotient lies beyond the largest double, take it exactly.
+    px_h = max(1, round(ratio if ratio < math.inf else PIXEL_WIDTH * Fraction(c.h) / Fraction(c.w)))
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{PIXEL_WIDTH}" height="{px_h}" '
         f'viewBox="{c.x!r} {c.y!r} {c.w!r} {c.h!r}">',
     ]
-    for i, r in enumerate(layout.rects):
-        y_flipped = 2.0 * c.y + c.h - r.y - r.h
+    for i, (x, y, w, h) in enumerate(zip(*layout.panes)):
+        y_flipped = 2.0 * c.y + c.h - y - h
         parts.append(
-            f'  <rect x="{r.x!r}" y="{y_flipped!r}" width="{r.w!r}" height="{r.h!r}" '
+            f'  <rect x="{x!r}" y="{y_flipped!r}" width="{w!r}" height="{h!r}" '
             f'fill="{_color(i)}" stroke="black" stroke-width="1" '
             'vector-effect="non-scaling-stroke"/>'
         )
         if options.labels != "none":
             text = str(i) if options.labels == "index" else f"{i}: {inst.areas[i]:.4g}"
-            cx = r.x + r.w / 2.0
-            cy = y_flipped + r.h / 2.0
-            size = 0.3 * min(r.w, r.h)
+            cx = x + w / 2.0
+            cy = y_flipped + h / 2.0
+            size = 0.3 * min(w, h)
             parts.append(
                 f'  <text x="{cx!r}" y="{cy!r}" font-size="{size!r}" '
                 'text-anchor="middle" dominant-baseline="central" '

@@ -389,3 +389,28 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     bad = subprocess.run([sys.executable, "-m", "rectpart", "partition", "--bogus"],
                          env=env, capture_output=True, timeout=60)
     assert bad.returncode == 1
+
+
+#: A valid instance whose panes' aspect ratios lie beyond the largest double.
+NEEDLES = b'{"container":{"width":1e-300,"height":1e10},"areas":[5e-291,5e-291]}'
+
+
+def _no_constants(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def test_reports_stay_json_when_aspect_ratios_overflow(tmp_path):
+    inst_path = tmp_path / "needles.json"
+    inst_path.write_bytes(NEEDLES)
+    lay, rep, ev = tmp_path / "lay.json", tmp_path / "rep.json", tmp_path / "eval.json"
+    assert cli_main(["partition", "--algo", "dc", "--input", str(inst_path), "--output", str(lay),
+                     "--report", str(rep)]) == 0
+    assert cli_main(["eval", "--instance", str(inst_path), "--layout", str(lay),
+                     "--output", str(ev)]) == 0
+    assert rep.read_bytes() == ev.read_bytes()
+    doc = json.loads(rep.read_bytes(), parse_constant=_no_constants)
+    assert doc["maxAspectRatio"] is None
+    assert [p["aspectRatio"] for p in doc["perRect"]] == [None, None]
+    # The library keeps the float.
+    inst = rp.parse_instance(NEEDLES)
+    assert rp.report(inst, rp.partition_dc(inst)).max_aspect_ratio == float("inf")

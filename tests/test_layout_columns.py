@@ -1,0 +1,120 @@
+"""Layouts held as columns: equal to the same layouts built from objects, and
+the partition path builds no pane objects."""
+
+import copy
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rectpart as rp
+from rectpart import geometry
+from rectpart.cli import cli_main
+
+PARTITIONERS = {
+    "dc": rp.partition_dc,
+    "mdc": rp.partition_mdc,
+    "oracle": lambda inst: rp.optimal_guillotine(inst)[1],
+}
+
+areas_st = st.one_of(
+    st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6),
+    st.builds(lambda n, q: [q**i for i in range(n)], st.integers(1, 6), st.floats(0.1, 0.95)),
+    st.lists(st.sampled_from((1.0, 2.0, 3.0)), min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    areas_st,
+    st.sampled_from(((1.0, 1.0), (2.0, 1.0), (1.0, 3.0))),
+    st.sampled_from(sorted(PARTITIONERS)),
+)
+def test_column_layouts_equal_object_layouts(areas, extents, algo):
+    inst = rp.make_instance(rp.Rect(0, 0, *extents), areas, normalize=True)
+    partition = PARTITIONERS[algo]
+    layout = partition(inst)
+
+    again = rp.parse_layout(rp.serialize_layout(layout, include_tree=True))
+    assert again == layout and hash(again) == hash(layout)
+
+    # Copies of a layout whose rects and tree were never read.
+    fresh = partition(inst)
+    copies = [pickle.loads(pickle.dumps(fresh, p)) for p in (0, pickle.HIGHEST_PROTOCOL)]
+    copies.append(copy.deepcopy(fresh))
+    for copied in copies:
+        assert copied == layout and hash(copied) == hash(layout)
+
+    diag = rp.validate_layout(inst, fresh)
+    rep = rp.report(inst, fresh) if diag.ok else None
+    fresh.rects, fresh.tree  # materialize the objects
+    objects = rp.Layout(layout.rects, layout.tree)
+    assert objects == fresh and hash(objects) == hash(fresh)
+    for lay in (fresh, objects):
+        assert rp.validate_layout(inst, lay) == diag
+        if rep is not None:
+            assert rp.report(inst, lay) == rep
+
+
+@pytest.fixture
+def count_pane_objects(monkeypatch):
+    """Counts of Rect, Leaf and Internal constructions from now on."""
+    counts = {cls.__name__: 0 for cls in (rp.Rect, rp.Leaf, rp.Internal)}
+    for cls in (rp.Rect, rp.Leaf, rp.Internal):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+@pytest.mark.parametrize("algo", ["dc", "mdc"])
+def test_cli_partition_builds_no_pane_objects(tmp_path, count_pane_objects, algo):
+    inst = rp.generate(rp.GenSpec(n=200, family="uniform", seed=5, container=rp.Rect(0, 0, 2, 1)))
+    path = tmp_path / "inst.json"
+    path.write_bytes(rp.serialize_instance(inst))
+    for name in count_pane_objects:
+        count_pane_objects[name] = 0
+    assert cli_main([
+        "partition", "--algo", algo, "--input", str(path), "--output", str(tmp_path / "lay.json"),
+        "--report", str(tmp_path / "rep.json"), "--svg", str(tmp_path / "lay.svg"),
+    ]) == 0
+    # Only the container read from the instance file.
+    assert count_pane_objects == {"Rect": 1, "Leaf": 0, "Internal": 0}
+
+
+@pytest.mark.parametrize("partition", [rp.partition_dc, rp.partition_mdc])
+def test_library_pipeline_builds_no_pane_objects(count_pane_objects, partition):
+    inst = rp.generate(rp.GenSpec(n=200, family="uniform", seed=5, container=rp.Rect(0, 0, 2, 1)))
+    for name in count_pane_objects:
+        count_pane_objects[name] = 0
+    layout = partition(inst)
+    rp.report(inst, layout)
+    assert rp.validate_layout(inst, layout).ok
+    assert count_pane_objects == {"Rect": 0, "Leaf": 0, "Internal": 0}
+    # The objects appear on first read.
+    assert len(layout.rects) == 200 and count_pane_objects["Rect"] == 200
+
+
+@pytest.mark.parametrize("partition", list(PARTITIONERS.values()), ids=list(PARTITIONERS))
+def test_placer_still_checks_each_piece(partition):
+    # The second piece of the first cut would start at 1.7e308 + 0.75e308,
+    # beyond the largest double: Rect refuses such a pane, so the placer must.
+    inst = rp.Instance(rp.Rect(1.7e308, 0, 1.5e308, 1), (0.75e308, 0.75e308))
+    with pytest.raises(ValueError, match="finite"):
+        partition(inst)
+
+
+def test_layout_checks_coverage_on_the_kind_column():
+    panes = ((0.0, 0.0), (0.5, 0.0), (1.0, 1.0), (0.5, 0.5))
+    kind = (rp.Cut.HORIZONTAL, 0, 0)
+    nodes = (kind, (0.0, 0.0, 0.0), (0.0, 0.5, 0.0), (1.0, 1.0, 1.0), (1.0, 0.5, 0.5))
+    with pytest.raises(ValueError, match="appears in two leaves"):
+        rp.Layout.of_columns(2, nodes)
+    with pytest.raises(ValueError, match="appears in two leaves"):
+        rp.Layout.of_columns(2, nodes, panes)
+    assert geometry.child_ids(kind) == ([1, -1, -1], [2, -1, -1])

@@ -1,4 +1,5 @@
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
@@ -66,3 +67,16 @@ def test_deterministic_bytes():
     inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.25, 0.25, 0.5])
     layout = rp.partition_dc(inst)
     assert rp.render_svg(layout, inst) == rp.render_svg(layout, inst)
+
+
+def test_pixel_height_beyond_a_double():
+    # 800 * 1e10 / 1e-300 overflows a double, so the height is taken exactly.
+    inst = rp.make_instance(rp.Rect(0, 0, 1e-300, 1e10), [5e-291, 5e-291])
+    svg = rp.render_svg(rp.partition_dc(inst), inst)
+    root = ET.fromstring(svg)
+    assert int(root.get("height")) == round(800 * Fraction(1e10) / Fraction(1e-300))
+    assert len(_rects(svg)) == 2
+    # Just inside the range of a double the height is the rounded float.
+    inst = rp.make_instance(rp.Rect(0, 0, 1e-300, 1e5), [1e-295])
+    root = ET.fromstring(rp.render_svg(rp.partition_dc(inst), inst))
+    assert int(root.get("height")) == round(800 * 1e5 / 1e-300)
