@@ -36,7 +36,6 @@ from .geometry import (
     Rect,
     aspect_ratio,
     half_perimeter,
-    iter_leaves,
     make_instance,
     preorder,
     split_rect,
@@ -73,7 +72,6 @@ __all__ = [
     "detect_forced",
     "generate",
     "half_perimeter",
-    "iter_leaves",
     "lower_bound",
     "make_instance",
     "mdc_reduce_step",

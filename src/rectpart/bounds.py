@@ -69,11 +69,14 @@ def detect_forced(
     publishes its long edges and, when a single constituent claims at least
     half its area, forces its right child.
     """
-    nodes = tree.nodes if isinstance(tree, Layout) else tree_columns(tree)
-    if nodes is None:
+    if not isinstance(tree, Layout):
+        nodes = tree_columns(tree)
+        left_id, right_id = child_ids(nodes[0])
+    elif tree.nodes is None:
         raise ValueError("the layout carries no cut tree")
+    else:
+        nodes, (left_id, right_id) = tree.nodes, tree.children
     kind, xs, ys, ws, hs = nodes
-    left_id, right_id = child_ids(kind)
     n_nodes = len(kind)
 
     a_max = [0.0] * n_nodes

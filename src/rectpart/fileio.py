@@ -41,11 +41,9 @@ from .geometry import (
     Cut,
     Instance,
     Layout,
-    NodeColumns,
     Pane,
     PaneColumns,
     Rect,
-    child_ids,
     make_instance,
 )
 
@@ -187,9 +185,10 @@ def _node_from_obj(obj: Any, i: int) -> tuple:
     return (Cut(cut), *pane)
 
 
-def _check_cuts(nodes: NodeColumns, left: list[int], right: list[int]) -> None:
+def _check_cuts(layout: Layout) -> None:
     """Reject internal nodes whose children do not tile them along their cut, left/top first."""
-    kind, x, y, w, h = nodes
+    kind, x, y, w, h = layout.nodes  # type: ignore[misc]
+    left, right = layout.children  # type: ignore[misc]
     tol = REL_TOL * max(w[0], h[0])
     for i, cut in enumerate(kind):
         if left[i] < 0:
@@ -242,13 +241,11 @@ def parse_layout(data: bytes | str) -> Layout:
     elif not isinstance(objs, list):
         raise FileFormatError('"tree" must be a list of nodes in preorder')
     rows = [_node_from_obj(obj, i) for i, obj in enumerate(objs)]
-    nodes: NodeColumns = tuple(zip(*rows))  # type: ignore[assignment]
     try:
-        left, right = child_ids(nodes[0] if nodes else ())
-        layout = Layout.of_columns(n, nodes, panes)
+        layout = Layout.of_columns(n, tuple(zip(*rows)), panes)  # type: ignore[arg-type]
     except ValueError as e:
         raise FileFormatError(str(e)) from e
-    _check_cuts(nodes, left, right)
+    _check_cuts(layout)
     return layout
 
 

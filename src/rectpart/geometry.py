@@ -11,7 +11,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -75,11 +75,6 @@ class Cut(Enum):
     HORIZONTAL = "horizontal"
 
 
-def cut_for(q: Rect) -> Cut:
-    """The partitioners' cut for ``q``: see :func:`cut_across`."""
-    return cut_across(q.w, q.h)
-
-
 def cut_across(w: float, h: float) -> Cut:
     """The partitioners' cut of a ``w`` x ``h`` pane: vertical when it is
     wider than tall, horizontal otherwise."""
@@ -128,15 +123,11 @@ def cut_pane(x: float, y: float, w: float, h: float, cut: Cut, a1: float) -> tup
     return (x, y + h2, w1, h1), (x, y, w2, h2)
 
 
-def cut_rect(q: Rect, cut: Cut, a1: float) -> tuple[Rect, Rect]:
-    """:func:`cut_pane` on ``q``, with the pieces as rects."""
-    first, second = cut_pane(q.x, q.y, q.w, q.h, cut, a1)
-    return Rect(*first), Rect(*second)
-
-
 def split_rect(q: Rect, a1: float) -> tuple[Rect, Rect]:
-    """:func:`cut_rect` along :func:`cut_for`; the first piece has area ``a1``."""
-    return cut_rect(q, cut_for(q), a1)
+    """:func:`cut_pane` on ``q`` along :func:`cut_across`, with the pieces as
+    rects; the first piece has area ``a1``."""
+    first, second = cut_pane(q.x, q.y, q.w, q.h, cut_across(q.w, q.h), a1)
+    return Rect(*first), Rect(*second)
 
 
 @dataclass(frozen=True)
@@ -245,12 +236,6 @@ def preorder(tree: LayoutTree) -> list[LayoutTree]:
     return out
 
 
-def iter_leaves(tree: LayoutTree) -> Iterator[Leaf]:
-    for node in preorder(tree):
-        if isinstance(node, Leaf):
-            yield node
-
-
 def _area_floats(areas) -> tuple[float, ...]:
     """``areas`` as floats; ValueError when one lies beyond the largest double."""
     try:
@@ -338,15 +323,16 @@ class Layout:
     the tree's :data:`NodeColumns`, or None without a tree. The placer and
     the file reader write them directly, ``Layout(rects, tree)`` reads them
     off the objects, and ``rects`` and ``tree`` are built from them on first
-    read. A tree's leaves must cover the area indices exactly once and agree
-    with the rects.
+    read. Construction checks a tree's shape once: the nodes must form
+    exactly one tree, whose ``children`` it keeps, and its leaves must cover
+    the area indices exactly once and agree with the rects.
 
     Two layouts are equal when their columns are: their rects are equal and
     their trees list equal nodes (kind and pane) in preorder, the value of a
     tree (see :class:`Internal`); so layouts of any depth compare, hash,
     print, copy and pickle."""
 
-    __slots__ = ("_panes", "_nodes", "_rects", "_tree")
+    __slots__ = ("_panes", "_nodes", "_children", "_rects", "_tree")
 
     def __init__(self, rects: Sequence[Rect], tree: LayoutTree | None) -> None:
         rects = tuple(rects)
@@ -366,9 +352,13 @@ class Layout:
         return layout
 
     def _set(self, n: int, nodes: NodeColumns | None, panes: PaneColumns | None) -> None:
+        children = None
         if nodes is not None:
-            nodes = tuple(map(tuple, nodes))  # type: ignore[assignment]
-            # Coverage before agreement, so that a duplicated leaf is named as such.
+            nodes = tuple(map(tuple, nodes)) or ((),) * 5  # type: ignore[assignment]
+            # Shape (an empty listing, even without columns, is no tree),
+            # then coverage before agreement, so that a duplicated leaf is
+            # named as such.
+            children = tuple(map(tuple, child_ids(nodes[0])))
             leaf = _leaf_ids(nodes[0], n)
             placed = tuple(tuple([col[i] for i in leaf]) for col in nodes[1:])
             if panes is not None and panes != placed:
@@ -377,7 +367,7 @@ class Layout:
                 )
                 raise ValueError(f"rects[{bad}] disagrees with its leaf")
             panes = placed  # type: ignore[assignment]
-        self._panes, self._nodes = panes, nodes
+        self._panes, self._nodes, self._children = panes, nodes, children
         self._rects = self._tree = None
 
     @classmethod
@@ -394,6 +384,12 @@ class Layout:
     @property
     def nodes(self) -> NodeColumns | None:
         return self._nodes
+
+    @property
+    def children(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """Left and right child ids of each tree node (see :func:`child_ids`),
+        or None without a tree."""
+        return self._children
 
     @property
     def rects(self) -> tuple[Rect, ...]:

@@ -46,6 +46,65 @@ class OracleSizeError(RuntimeError):
     """Instance is too large for exhaustive search; raised instead of hanging."""
 
 
+Memo = dict[tuple, float]
+
+
+def _split(vals: Sequence, mask: int) -> tuple[list, list]:
+    # Bit j-1 of the mask sends element j to the second group; element 0
+    # always stays in the first, which halves the enumeration.
+    g1, g2 = [], []
+    for j, v in enumerate(vals):
+        if j and (mask >> (j - 1)) & 1:
+            g2.append(v)
+        else:
+            g1.append(v)
+    return g1, g2
+
+
+def _lower(vals: list[float], w: float, h: float) -> float:
+    # A piece of area a with one side at most s costs at least 2*sqrt(a),
+    # or s + a/s once a square of that area no longer fits.
+    if len(vals) == 1:
+        return w + h
+    s = min(w, h)
+    return sum(s + a / s if a > s * s else 2.0 * math.sqrt(a) for a in vals)
+
+
+def _priced(memo: Memo, vals: list[float], w: float, h: float) -> Iterator[tuple[float, int, Cut]]:
+    # (value, mask, cut) of each representable cut of the w x h pane that
+    # may match the cheapest one, masks ascending and the vertical cut
+    # first, which is the tie order.
+    limit = math.inf
+    for mask in range(1, 1 << (len(vals) - 1)):
+        g1, g2 = _split(vals, mask)
+        s1 = math.fsum(g1)
+        for cut in (Cut.VERTICAL, Cut.HORIZONTAL):
+            ext = cut_extents(w, h, cut, s1)
+            if ext is None:
+                continue
+            w1, h1, w2, h2 = ext
+            lower2 = _lower(g2, w2, h2)
+            if _lower(g1, w1, h1) + lower2 > limit:
+                continue
+            v1 = _best(memo, g1, w1, h1)
+            if v1 + lower2 > limit:
+                continue
+            v = v1 + _best(memo, g2, w2, h2)
+            limit = min(limit, v + 1e-9 * v)
+            yield v, mask, cut
+
+
+def _best(memo: Memo, vals: list[float], w: float, h: float) -> float:
+    if len(vals) == 1:
+        return w + h
+    k = (tuple(vals), w, h) if w >= h else (tuple(vals), h, w)
+    hit = memo.get(k)
+    if hit is not None:
+        return hit
+    memo[k] = best_v = min((v for v, _, _ in _priced(memo, vals, w, h)), default=math.inf)
+    return best_v
+
+
 def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
     """Minimum total half-perimeter over all guillotine tilings, with a witness.
 
@@ -56,80 +115,24 @@ def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
     if inst.n > max_n:
         raise OracleSizeError(f"exhaustive search refused for n={inst.n} > max_n={max_n}")
 
-    memo: dict[tuple, float] = {}
-
-    def split(vals: Sequence, mask: int) -> tuple[list, list]:
-        # Bit j-1 of the mask sends element j to the second group; element 0
-        # always stays in the first, which halves the enumeration.
-        g1, g2 = [], []
-        for j, v in enumerate(vals):
-            if j and (mask >> (j - 1)) & 1:
-                g2.append(v)
-            else:
-                g1.append(v)
-        return g1, g2
-
-    def lower(vals: list[float], w: float, h: float) -> float:
-        # A piece of area a with one side at most s costs at least 2*sqrt(a),
-        # or s + a/s once a square of that area no longer fits.
-        if len(vals) == 1:
-            return w + h
-        s = min(w, h)
-        return sum(s + a / s if a > s * s else 2.0 * math.sqrt(a) for a in vals)
-
-    def priced(vals: list[float], w: float, h: float) -> Iterator[tuple[float, int, Cut]]:
-        # (value, mask, cut) of each representable cut of the w x h pane that
-        # may match the cheapest one, masks ascending and the vertical cut
-        # first, which is the tie order.
-        limit = math.inf
-        for mask in range(1, 1 << (len(vals) - 1)):
-            g1, g2 = split(vals, mask)
-            s1 = math.fsum(g1)
-            for cut in (Cut.VERTICAL, Cut.HORIZONTAL):
-                ext = cut_extents(w, h, cut, s1)
-                if ext is None:
-                    continue
-                w1, h1, w2, h2 = ext
-                lower2 = lower(g2, w2, h2)
-                if lower(g1, w1, h1) + lower2 > limit:
-                    continue
-                v1 = best(g1, w1, h1)
-                if v1 + lower2 > limit:
-                    continue
-                v = v1 + best(g2, w2, h2)
-                limit = min(limit, v + 1e-9 * v)
-                yield v, mask, cut
-
-    def best(vals: list[float], w: float, h: float) -> float:
-        if len(vals) == 1:
-            return w + h
-        k = (tuple(vals), w, h) if w >= h else (tuple(vals), h, w)
-        hit = memo.get(k)
-        if hit is not None:
-            return hit
-        memo[k] = best_v = min((v for v, _, _ in priced(vals, w, h)), default=math.inf)
-        return best_v
+    memo: Memo = {}
 
     def choose(w: float, h: float, values: list[float]):
         # The memo holds the exact optimum of this pane and the loop prices
         # its candidates as the search did, so the optimum recurs; the band
         # is a guard, not a tolerance for memo noise. It must stay narrower
-        # than priced's skip margin, so that no candidate it accepts is
+        # than _priced's skip margin, so that no candidate it accepts is
         # skipped.
-        target = best(values, w, h)
+        target = _best(memo, values, w, h)
         if math.isinf(target):
             raise AssertionError(
                 "no guillotine cut of the pane is representable in floating point"
             )
         limit = target + 1e-10 * target
-        for v, mask, cut in priced(values, w, h):
+        for v, mask, cut in _priced(memo, values, w, h):
             if v <= limit:
-                return (cut, math.fsum(split(values, mask)[0]), *split(range(len(values)), mask))
+                return (cut, math.fsum(_split(values, mask)[0]), *_split(range(len(values)), mask))
         raise AssertionError("memoized optimum could not be reproduced")
 
-    value = best(sorted(inst.areas, reverse=True), inst.container.w, inst.container.h)
-    layout = _place(inst, choose)
-    # best and priced call each other, so their closures form a reference
-    # cycle that only the cycle collector would free: release the memo now.
-    memo.clear()
-    return value, layout
+    value = _best(memo, sorted(inst.areas, reverse=True), inst.container.w, inst.container.h)
+    return value, _place(inst, choose)

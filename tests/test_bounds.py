@@ -57,6 +57,16 @@ def test_no_dominant_area_keeps_right_child_unforced():
     assert forced == {0}
 
 
+def test_detect_forced_rejects_flat_layouts_and_unknown_leaves():
+    inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.5, 0.5])
+    layout = rp.partition_dc(inst)
+    with pytest.raises(ValueError, match="the layout carries no cut tree"):
+        rp.detect_forced(rp.Layout(layout.rects, None), inst.areas)
+    for tree in (layout, layout.tree):
+        with pytest.raises(ValueError, match="leaf index 1 outside the area list"):
+            rp.detect_forced(tree, inst.areas[:1])
+
+
 def test_lower_bound_halves():
     inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.5, 0.5])
     layout = rp.partition_dc(inst)

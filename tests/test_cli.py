@@ -215,6 +215,28 @@ def test_bench_emits_csv(capsys):
     assert lines[1].startswith("50,") and lines[2].startswith("100,")
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--n-list", "a,b"], "--n-list must be comma-separated integers"),
+    (["--n-list", "1"], "--n-list needs sizes >= 2"),
+    (["--n-list", "50", "--repeats", "0"], "--repeats >= 1"),
+], ids=["not-integers", "too-small", "no-repeats"])
+def test_bench_rejects_bad_arguments(capsys, flags, error):
+    assert cli_main(["bench", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and error in err
+
+
+def test_partition_checks_its_layout_before_writing(halves_file, tmp_path, monkeypatch, capsys):
+    failed = rp.LayoutDiagnostics(False, (0,), True, True, (), True, ())
+    monkeypatch.setattr(cli, "validate_layout", lambda inst, layout: failed)
+    out = tmp_path / "layout.json"
+    argv = ["partition", "--algo", "dc", "--input", str(halves_file), "--output", str(out)]
+    assert cli_main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["internal error: InternalInvariantError: produced layout failed validation"]
+    assert not out.exists()
+
+
 def test_outputs_are_deterministic(tmp_path):
     inst = tmp_path / "inst.json"
     for _ in range(2):

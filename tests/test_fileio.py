@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import rectpart as rp
+from rectpart.cli import cli_main
 from rectpart.fileio import FileFormatError
 
 from conftest import geometric_chain, strip_chain
@@ -90,20 +91,33 @@ _LEAF1 = {"index": 1, "rect": {"x": 0, "y": 0, "width": 1, "height": 0.5}}
 _ROOT = {"cut": "horizontal", "rect": {"x": 0, "y": 0, "width": 1, "height": 1}}
 
 
-@pytest.mark.parametrize("version, tree", [
-    (2, []),
-    (2, [_ROOT, _LEAF0]),
-    (2, [_ROOT, _LEAF0, _LEAF1, _LEAF1]),
-    (2, [_LEAF0, _ROOT, _LEAF1]),
-    (2, [_ROOT, _LEAF1, _LEAF0]),
-    (2, [_ROOT, "leaf", _LEAF1]),
-    (2, {**_ROOT, "left": _LEAF0, "right": _LEAF1}),
-    (1, [_ROOT, _LEAF0, _LEAF1]),
-    (1, {**_ROOT, "left": _LEAF0}),
-    (3, [_ROOT, _LEAF0, _LEAF1]),
-    ("2", [_ROOT, _LEAF0, _LEAF1]),
-], ids=["empty", "missing-child", "leftover-node", "leaf-first", "bottom-first", "non-object",
-        "v2-nested", "v1-list", "v1-missing-child", "unknown-version", "string-version"])
+#: Malformed trees in a two-halves document: id -> (version, tree, the error parse_layout names).
+MALFORMED_TREES = {
+    "empty": (2, [], "tree nodes form 0 trees instead of one"),
+    "missing-child": (2, [_ROOT, _LEAF0], "internal tree node 0 lacks a child"),
+    "leftover-node": (2, [_ROOT, _LEAF0, _LEAF1, _LEAF1], "tree nodes form 2 trees instead of one"),
+    "leaf-first": (2, [_LEAF0, _ROOT, _LEAF1], "internal tree node 1 lacks a child"),
+    "bottom-first": (2, [_ROOT, _LEAF1, _LEAF0],
+                     "the children of tree node 0 do not tile it along its horizontal cut"),
+    "non-object": (2, [_ROOT, "leaf", _LEAF1], "tree node 1 must be an object"),
+    "v2-nested": (2, {**_ROOT, "left": _LEAF0, "right": _LEAF1},
+                  '"tree" must be a list of nodes in preorder'),
+    "v1-list": (1, [_ROOT, _LEAF0, _LEAF1], "tree node 0 must be an object"),
+    "v1-missing-child": (1, {**_ROOT, "left": _LEAF0}, "internal tree nodes need left and right children"),
+    "unknown-version": (3, [_ROOT, _LEAF0, _LEAF1], "unknown layout format version 3"),
+    "string-version": ("2", [_ROOT, _LEAF0, _LEAF1], "unknown layout format version '2'"),
+    "rect-not-object": (2, [_ROOT, {"index": 0, "rect": 5}, _LEAF1], "tree node 1 rect must be an object"),
+    "negative-leaf": (2, [_ROOT, {**_LEAF0, "index": -1}, _LEAF1],
+                      "leaf index must be a non-negative integer, got -1"),
+    "bool-leaf": (2, [_ROOT, {**_LEAF0, "index": True}, _LEAF1],
+                  "leaf index must be a non-negative integer, got True"),
+    "diagonal-cut": (2, [{**_ROOT, "cut": "diagonal"}, _LEAF0, _LEAF1],
+                     'internal tree nodes need "cut" of "vertical" or "horizontal", got \'diagonal\''),
+}
+
+
+@pytest.mark.parametrize("version, tree", [case[:2] for case in MALFORMED_TREES.values()],
+                         ids=list(MALFORMED_TREES))
 def test_parse_layout_rejects_malformed_trees(version, tree):
     doc = json.loads(rp.serialize_layout(rp.partition_dc(rp.make_instance(rp.Rect(0, 0, 1, 1), [0.5, 0.5]))))
     doc["version"] = version
@@ -112,6 +126,50 @@ def test_parse_layout_rejects_malformed_trees(version, tree):
     rp.parse_layout(json.dumps({**doc, "version": 2, "tree": [_ROOT, _LEAF0, _LEAF1]}))
     with pytest.raises(FileFormatError):
         rp.parse_layout(json.dumps(doc))
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_TREES))
+def test_parse_layout_names_the_first_tree_error(tmp_path, capsys, case):
+    version, tree, error = MALFORMED_TREES[case]
+    doc = json.loads(rp.serialize_layout(rp.partition_dc(rp.make_instance(rp.Rect(0, 0, 1, 1), [0.5, 0.5]))))
+    data = json.dumps({**doc, "version": version, "tree": tree})
+    with pytest.raises(FileFormatError) as info:
+        rp.parse_layout(data)
+    assert str(info.value) == error
+    inst = tmp_path / "inst.json"
+    inst.write_bytes(rp.serialize_instance(rp.make_instance(rp.Rect(0, 0, 1, 1), [0.5, 0.5])))
+    (tmp_path / "layout.json").write_text(data)
+    out = tmp_path / "eval.json"
+    argv = ["eval", "--instance", str(inst), "--layout", str(tmp_path / "layout.json"), "--output", str(out)]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, error", [
+    ('{"container": {"width": "1", "height": 1}, "areas": [1]}', "container width must be a number, got '1'"),
+    ('{"areas": [1]}', 'instance document needs "container" and "areas" keys'),
+    ('{"container": [1, 1], "areas": [1]}', '"container" must be an object with width and height'),
+    ('{"container": {"width": Infinity, "height": 1}, "areas": [1]}', "container width must be finite, got inf"),
+], ids=["string-width", "no-container", "list-container", "infinite-width"])
+def test_parse_instance_rejects_malformed_documents(doc, error):
+    with pytest.raises(FileFormatError) as info:
+        rp.parse_instance(doc)
+    assert str(info.value) == error
+
+
+_RECT = {"x": 0, "y": 0, "width": 1, "height": 1}
+
+
+@pytest.mark.parametrize("doc, error", [
+    ({"version": 2}, 'layout document needs a "rects" key'),
+    ({"version": 2, "rects": []}, "at least one rect is required"),
+    ({"version": 2, "rects": [_RECT]}, 'each rect entry needs an "index"'),
+], ids=["no-rects", "empty-rects", "no-index"])
+def test_parse_layout_rejects_malformed_rects(doc, error):
+    with pytest.raises(FileFormatError) as info:
+        rp.parse_layout(json.dumps(doc))
+    assert str(info.value) == error
 
 
 def test_parse_rejects_deeply_nested_json():

@@ -44,7 +44,7 @@ def test_rect_rejects_bad_fields():
 
 
 def test_split_rect_wide_cuts_vertically():
-    assert geometry.cut_for(rp.Rect(0, 0, 2, 1)) is rp.Cut.VERTICAL
+    assert geometry.cut_across(2, 1) is rp.Cut.VERTICAL
     first, second = rp.split_rect(rp.Rect(0, 0, 2, 1), 1.2)
     assert first == rp.Rect(0, 0, 1.2, 1)
     assert second.x == pytest.approx(1.2) and second.w == pytest.approx(0.8)
@@ -52,14 +52,14 @@ def test_split_rect_wide_cuts_vertically():
 
 
 def test_split_rect_square_cuts_horizontally_top_first():
-    assert geometry.cut_for(rp.Rect(0, 0, 1, 1)) is rp.Cut.HORIZONTAL
+    assert geometry.cut_across(1, 1) is rp.Cut.HORIZONTAL
     first, second = rp.split_rect(rp.Rect(0, 0, 1, 1), 0.5)
     assert first == rp.Rect(0, 0.5, 1, 0.5)
     assert second == rp.Rect(0, 0, 1, 0.5)
 
 
 def test_split_rect_tall_cuts_horizontally():
-    assert geometry.cut_for(rp.Rect(0, 0, 1, 3)) is rp.Cut.HORIZONTAL
+    assert geometry.cut_across(1, 3) is rp.Cut.HORIZONTAL
     first, second = rp.split_rect(rp.Rect(0, 0, 1, 3), 1.0)
     assert first == rp.Rect(0, 2.0, 1, 1.0)
     assert second == rp.Rect(0, 0, 1, 2.0)
@@ -70,7 +70,7 @@ def test_split_rect_rejects_out_of_range_area():
     for a1 in (0.0, -1.0, 2.0, 2.5):
         with pytest.raises(ValueError):
             rp.split_rect(q, a1)
-    # cut_extents refuses exactly what cut_rect refuses, including first
+    # cut_extents refuses exactly what cut_pane refuses, including first
     # pieces whose remainder rounds away and pieces that underflow to zero.
     for q in (rp.Rect(0, 0, 2, 1), rp.Rect(0, 0, 1.3, 3), rp.Rect(1.5, -2, 0.3, 0.7),
               rp.Rect(0, 0, 1e300, 1e-300)):
@@ -81,7 +81,7 @@ def test_split_rect_rejects_out_of_range_area():
             for cut in rp.Cut:
                 ext = geometry.cut_extents(q.w, q.h, cut, a1)
                 try:
-                    geometry.cut_rect(q, cut, a1)
+                    geometry.cut_pane(q.x, q.y, q.w, q.h, cut, a1)
                 except ValueError:
                     assert ext is None, (q, cut, a1)
                 else:
@@ -120,9 +120,11 @@ def test_half_perimeter_strictly_above_floor_for_non_squares():
 @example(rp.Rect(0.5, 1.0, 2.0, 2.0), 0.3)  # square
 def test_split_rect_tiles_exactly(r, frac):
     a1 = r.area * frac
-    assert rp.split_rect(r, a1) == geometry.cut_rect(r, geometry.cut_for(r), a1)
+    assert rp.split_rect(r, a1) == tuple(
+        rp.Rect(*p) for p in geometry.cut_pane(r.x, r.y, r.w, r.h, geometry.cut_across(r.w, r.h), a1)
+    )
     for cut in rp.Cut:
-        first, second = geometry.cut_rect(r, cut, a1)
+        first, second = (rp.Rect(*p) for p in geometry.cut_pane(r.x, r.y, r.w, r.h, cut, a1))
         assert geometry.cut_extents(r.w, r.h, cut, a1) == (first.w, first.h, second.w, second.h)
         assert first.area == pytest.approx(a1, rel=1e-12)
         assert first.area + second.area == pytest.approx(r.area, rel=1e-11)
@@ -160,6 +162,15 @@ def test_instance_requires_matching_sum():
             rp.make_instance(container, [10**400], normalize=normalize)
     with pytest.raises(ValueError, match="largest double"):
         rp.Instance(container, (10**400,))
+
+
+def test_instance_and_validation_reject_mismatched_input():
+    # The areas sum to the container's, but one is negative.
+    with pytest.raises(ValueError, match="area #1 must be positive and finite, got -0.5"):
+        rp.Instance(rp.Rect(0, 0, 1, 1), (1.5, -0.5))
+    inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.5, 0.5])
+    with pytest.raises(ValueError, match="layout carries 1 rects for 2 areas"):
+        rp.validate_layout(inst, rp.Layout((rp.Rect(0, 0, 1, 1),), None))
 
 
 def test_validate_layout_accepts_exact_halves():

@@ -118,3 +118,54 @@ def test_layout_checks_coverage_on_the_kind_column():
     with pytest.raises(ValueError, match="appears in two leaves"):
         rp.Layout.of_columns(2, nodes, panes)
     assert geometry.child_ids(kind) == ([1, -1, -1], [2, -1, -1])
+
+
+def test_layout_refuses_columns_that_form_no_single_tree():
+    # Two leaves and no cut: the coverage check alone accepted these columns,
+    # and only later readers (tree, report, a file written with the tree)
+    # failed on them.
+    two_roots = ((0, 1), (0.0, 0.0), (0.5, 0.0), (1.0, 1.0), (0.5, 0.5))
+    with pytest.raises(ValueError, match="form 2 trees instead of one"):
+        rp.Layout.of_columns(2, two_roots)
+    for empty in ((), ((),) * 5):
+        with pytest.raises(ValueError, match="form 0 trees instead of one"):
+            rp.Layout.of_columns(0, empty)
+    # A well-formed tree keeps its child ids, read-only.
+    kind = (rp.Cut.HORIZONTAL, 0, 1)
+    layout = rp.Layout.of_columns(2, (kind, (0.0, 0.0, 0.0), (0.0, 0.5, 0.0), (1.0,) * 3, (1.0, 0.5, 0.5)))
+    assert layout.children == ((1, -1, -1), (2, -1, -1))
+    assert pickle.loads(pickle.dumps(layout)).children == layout.children
+    assert rp.Layout(layout.rects, None).children is None
+
+
+def test_cli_derives_each_tree_shape_once(tmp_path, monkeypatch):
+    calls = []
+    child_ids = geometry.child_ids
+
+    def counting(nodes):
+        calls.append(len(nodes))
+        return child_ids(nodes)
+
+    for module in (geometry, rp.bounds, rp.fileio):
+        if hasattr(module, "child_ids"):
+            monkeypatch.setattr(module, "child_ids", counting)
+    inst = rp.generate(rp.GenSpec(n=40, family="uniform", seed=3, container=rp.Rect(0, 0, 2, 1)))
+    small = rp.generate(rp.GenSpec(n=5, family="uniform", seed=3, container=rp.Rect(0, 0, 2, 1)))
+    (tmp_path / "inst.json").write_bytes(rp.serialize_instance(inst))
+    (tmp_path / "small.json").write_bytes(rp.serialize_instance(small))
+    commands = {
+        "partition": ["partition", "--algo", "dc", "--input", "inst.json", "--output", "flat.json"],
+        "partition --report --svg": [
+            "partition", "--algo", "mdc", "--input", "inst.json", "--output", "lay.json",
+            "--report", "rep.json", "--svg", "lay.svg",
+        ],
+        "eval": ["eval", "--instance", "inst.json", "--layout", "lay.json", "--output", "ev.json"],
+        "oracle": ["oracle", "--input", "small.json", "--output", "opt.json"],
+    }
+    counts = {}
+    monkeypatch.chdir(tmp_path)
+    for name, argv in commands.items():
+        calls.clear()
+        assert cli_main(argv) == 0
+        counts[name] = len(calls)
+    assert counts == {"partition": 1, "partition --report --svg": 1, "eval": 1, "oracle": 1}

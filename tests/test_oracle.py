@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -122,3 +123,16 @@ def test_pruned_search_matches_plain_enumeration(extent, raw):
     assert value == pytest.approx(plain, rel=1e-12)
     assert rp.validate_layout(inst, witness).ok
     assert witness.total_half_perimeter() == pytest.approx(value, abs=1e-9)
+
+
+def test_search_frees_its_memo_without_the_cycle_collector():
+    # The memo is freed by reference counting as soon as the search returns:
+    # no reference cycle keeps it, or the functions that fill it, alive.
+    inst = rp.generate(rp.GenSpec(n=7, family="uniform", seed=3, container=rp.Rect(0, 0, 2, 1)))
+    gc.collect()
+    gc.disable()
+    try:
+        rp.optimal_guillotine(inst)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
