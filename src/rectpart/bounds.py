@@ -34,27 +34,13 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .geometry import Instance, Layout, LayoutTree, child_ids, tree_columns, validate_layout
 
 #: Coordinate slack for edge containment, relative to the container extent.
 EDGE_TOL = 1e-9
-
-
-def _long_edges(x: float, y: float, w: float, h: float) -> list[tuple[str, float, float, float]]:
-    """Long edges of a pane as (orientation, line coordinate, span start, span end).
-
-    Horizontal edges for wide panes, vertical for tall ones, all four for
-    exact squares.
-    """
-    horiz = [("h", y, x, x + w), ("h", y + h, x, x + w)]
-    vert = [("v", x, y, y + h), ("v", x + w, y, y + h)]
-    if w > h:
-        return horiz
-    if h > w:
-        return vert
-    return horiz + vert
 
 
 def detect_forced(
@@ -90,16 +76,24 @@ def detect_forced(
 
     tol = EDGE_TOL * max(ws[0], hs[0])
 
-    # All candidate long edges, bucketed by orientation and sorted by their
-    # supporting line so a forced edge only scans nearby candidates.
-    edges_of = list(map(_long_edges, xs, ys, ws, hs))
-    cand: dict[str, list[tuple[float, float, float, int, int]]] = {"h": [], "v": []}
-    for i, edges in enumerate(edges_of):
-        for slot, (orient, c, lo, hi) in enumerate(edges):
-            cand[orient].append((c, lo, hi, i, slot))
-    for orient in cand:
-        cand[orient].sort(key=lambda t: t[0])
-    coords = {orient: [t[0] for t in cand[orient]] for orient in cand}
+    # All candidate long edges as (line, span start, span end, node, slot),
+    # bucketed by orientation and sorted by their line so a forced edge only
+    # scans nearby candidates. Wide panes have horizontal long edges, tall
+    # ones vertical, and squares all four: slots 0-1 then 2-3.
+    horiz: list[tuple[float, float, float, int, int]] = []
+    vert: list[tuple[float, float, float, int, int]] = []
+    for i, (x, y, w, h) in enumerate(zip(xs, ys, ws, hs)):
+        if w >= h:
+            horiz.append((y, x, x + w, i, 0))
+            horiz.append((y + h, x, x + w, i, 1))
+        if h >= w:
+            slot = 2 if w == h else 0
+            vert.append((x, y, y + h, i, slot))
+            vert.append((x + w, y, y + h, i, slot + 1))
+    horiz.sort(key=itemgetter(0))
+    vert.sort(key=itemgetter(0))
+    lines_h = list(map(itemgetter(0), horiz))
+    lines_v = list(map(itemgetter(0), vert))
 
     covered = [0] * n_nodes
     forced = [False] * n_nodes
@@ -113,13 +107,19 @@ def detect_forced(
     force(0)
     while queue:
         f = queue.pop()
-        if left_id[f] >= 0 and a_max[f] >= 0.5 * (ws[f] * hs[f]) * (1.0 - 1e-12):
+        x, y, w, h = xs[f], ys[f], ws[f], hs[f]
+        if left_id[f] >= 0 and a_max[f] >= 0.5 * (w * h) * (1.0 - 1e-12):
             force(right_id[f])
+        own = []  # f's long edges: (candidates, their lines, line, span start, span end)
+        if w >= h:
+            own += (horiz, lines_h, y, x, x + w), (horiz, lines_h, y + h, x, x + w)
+        if h >= w:
+            own += (vert, lines_v, x, y, y + h), (vert, lines_v, x + w, y, y + h)
         by_f: dict[int, int] = {}  # the bits that f alone covers, per candidate
-        for orient, c, lo, hi in edges_of[f]:
-            start = bisect.bisect_left(coords[orient], c - tol)
-            stop = bisect.bisect_right(coords[orient], c + tol)
-            for _, clo, chi, j, slot in cand[orient][start:stop]:
+        for cand, lines, c, lo, hi in own:
+            start = bisect.bisect_left(lines, c - tol)
+            stop = bisect.bisect_right(lines, c + tol)
+            for _, clo, chi, j, slot in cand[start:stop]:
                 if not forced[j] and clo >= lo - tol and chi <= hi + tol:
                     by_f[j] = by_f.get(j, 0) | 1 << slot
         for j, bits in by_f.items():

@@ -20,19 +20,23 @@ nesting depth does not depend on the tree's depth. Version 1 documents (no
 "version" key) nest the tree as ``{"cut", "rect", "left", "right"}`` objects;
 they are still read, and re-serialize as version 2.
 
-Layout and report documents are written compactly (no indentation or spaces),
-which lets ``json`` use its C encoder; instance documents keep two-space
-indentation. Numbers are IEEE-754 doubles written with Python's shortest
-round-trip repr (at most 17 significant digits), so parse(serialize(x))
-reproduces x bit for bit. Layout and report documents never hold NaN or
-Infinity, which JSON lacks (RFC 8259). The instance format stores extents
-only and places the container at the origin.
+Layout and report documents are written compactly (no indentation or spaces)
+by filling fixed ``%`` templates, in the bytes ``json.dumps`` with compact
+separators would give; the layout writer formats each distinct coordinate
+once. Instance documents keep two-space indentation. Numbers are IEEE-754
+doubles written with Python's shortest round-trip repr (at most 17
+significant digits), so parse(serialize(x)) reproduces x bit for bit.
+Layout and report documents never hold NaN or Infinity, which JSON lacks
+(RFC 8259). The instance format stores extents only and places the
+container at the origin.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
+from operator import attrgetter
 from typing import Any
 
 from .bounds import QualityReport
@@ -64,10 +68,6 @@ def _loads(data: bytes | str) -> Any:
         raise FileFormatError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
     except RecursionError as e:
         raise FileFormatError("JSON document nests too deeply") from e
-
-
-def _dumps(doc: Any) -> bytes:
-    return (json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n").encode("utf-8")
 
 
 def _number(obj: Any, what: str) -> float:
@@ -119,10 +119,6 @@ def serialize_instance(inst: Instance) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
-def _pane_obj(x: float, y: float, w: float, h: float) -> dict:
-    return {"x": x, "y": y, "width": w, "height": h}
-
-
 def _pane_from_obj(obj: Any, what: str) -> Pane:
     # Rect's checks: finite numbers, positive extents.
     if not isinstance(obj, dict):
@@ -135,22 +131,52 @@ def _pane_from_obj(obj: Any, what: str) -> Pane:
     )
 
 
+#: A pane's JSON members and closing brace, written once per tree node.
+_PANE_BODY = '"x":%s,"y":%s,"width":%s,"height":%s}'
+
+_CUT_NODE = {cut: '{"cut":"' + cut.value + '","rect":{%s}' for cut in Cut}
+
+
+def _finite_text(v: float, what: str) -> str:
+    if not math.isfinite(v):
+        raise ValueError(f"{what} is {v!r}, which JSON cannot hold")
+    return repr(v)
+
+
+def _pane_bodies(cols: tuple) -> list[str]:
+    """:data:`_PANE_BODY` filled from four equal coordinate columns of finite
+    floats. Each distinct number is formatted once; numbers are keyed by
+    their bit pattern, because 0.0 and -0.0 compare equal but print apart."""
+    flat = array("d", cols[0] + cols[1] + cols[2] + cols[3])
+    keys = array("Q", flat.tobytes())
+    distinct = dict(zip(keys, flat))
+    text = dict(zip(distinct, map(float.__repr__, distinct.values())))
+    texts = list(map(text.__getitem__, keys))
+    m = len(cols[0])
+    return list(map(_PANE_BODY.__mod__, zip(*(texts[k * m : (k + 1) * m] for k in range(4)))))
+
+
 def serialize_layout(layout: Layout, *, include_tree: bool = False) -> bytes:
-    doc: dict[str, Any] = {
-        "version": LAYOUT_VERSION,
-        "rects": [
-            {"index": i, "x": x, "y": y, "width": w, "height": h}
-            for i, (x, y, w, h) in enumerate(zip(*layout.panes))
-        ],
-        "totalHalfPerimeter": layout.total_half_perimeter(),
-    }
+    total = _finite_text(layout.total_half_perimeter(), "totalHalfPerimeter")
+    tree = ""
     if include_tree and layout.nodes is not None:
-        doc["tree"] = [
-            {"index": k, "rect": _pane_obj(*pane)} if isinstance(k, int)
-            else {"cut": k.value, "rect": _pane_obj(*pane)}
-            for k, *pane in zip(*layout.nodes)
-        ]
-    return _dumps(doc)
+        # A leaf's rects entry reuses its node's pane text.
+        bodies = [""] * len(layout.panes[0])
+        nodes = []
+        for k, body in zip(layout.nodes[0], _pane_bodies(layout.nodes[1:])):
+            if isinstance(k, int):
+                bodies[k] = body
+                nodes.append('{"index":%d,"rect":{%s}' % (k, body))
+            else:
+                nodes.append(_CUT_NODE[k] % body)
+        tree = ',"tree":[%s]' % ",".join(nodes)
+    else:
+        bodies = _pane_bodies(layout.panes)
+    rects = ",".join(map('{"index":%d,%s'.__mod__, enumerate(bodies)))
+    return (
+        '{"version":%d,"rects":[%s],"totalHalfPerimeter":%s%s}\n'
+        % (LAYOUT_VERSION, rects, total, tree)
+    ).encode()
 
 
 def _preorder_v1(root: Any) -> list:
@@ -249,29 +275,33 @@ def parse_layout(data: bytes | str) -> Layout:
     return layout
 
 
-def _ratio(r: float) -> float | None:
-    return r if r != math.inf else None
+_PANE_FIELDS = attrgetter("index", "half_perimeter", "aspect_ratio", "forced")
+
+_PANE_REPORT = '{"index":%d,"halfPerimeter":%r,"aspectRatio":%s,"isForced":%s}'
 
 
 def report_to_json(rep: QualityReport) -> bytes:
     """The report as a JSON document. An aspect ratio beyond the largest
     double (a pane whose sides differ by more than that factor) is written
     as null, which keeps the document valid JSON; :class:`QualityReport`
-    itself keeps ``inf``."""
-    doc = {
-        "totalHalfPerimeter": rep.total_half_perimeter,
-        "naiveLowerBound": rep.naive_lower_bound,
-        "forcedAwareLowerBound": rep.forced_aware_lower_bound,
-        "approxRatio": rep.approx_ratio,
-        "maxAspectRatio": _ratio(rep.max_aspect_ratio),
-        "perRect": [
-            {
-                "index": p.index,
-                "halfPerimeter": p.half_perimeter,
-                "aspectRatio": _ratio(p.aspect_ratio),
-                "isForced": p.forced,
-            }
-            for p in rep.per_rect
-        ],
-    }
-    return _dumps(doc)
+    itself keeps ``inf``. Any other number that is not finite raises
+    ValueError."""
+    index, half, ratio, forced = tuple(zip(*map(_PANE_FIELDS, rep.per_rect))) or ((),) * 4
+    finite = all(map(math.isfinite, half))
+    if not finite or any(r != math.inf and not math.isfinite(r) for r in ratio):
+        raise ValueError("a per-pane number is not finite, which JSON cannot hold")
+    ratios = ["null" if r == math.inf else repr(r) for r in ratio]
+    flags = ["true" if f else "false" for f in forced]
+    return (
+        '{"totalHalfPerimeter":%s,"naiveLowerBound":%s,"forcedAwareLowerBound":%s,'
+        '"approxRatio":%s,"maxAspectRatio":%s,"perRect":[%s]}\n'
+        % (
+            _finite_text(rep.total_half_perimeter, "totalHalfPerimeter"),
+            _finite_text(rep.naive_lower_bound, "naiveLowerBound"),
+            _finite_text(rep.forced_aware_lower_bound, "forcedAwareLowerBound"),
+            _finite_text(rep.approx_ratio, "approxRatio"),
+            "null" if rep.max_aspect_ratio == math.inf
+            else _finite_text(rep.max_aspect_ratio, "maxAspectRatio"),
+            ",".join(map(_PANE_REPORT.__mod__, zip(index, half, ratios, flags))),
+        )
+    ).encode()

@@ -11,6 +11,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Sequence, Union
 
 import numpy as np
@@ -210,10 +211,13 @@ def _xywh(r: Rect) -> Pane:
     return r.x, r.y, r.w, r.h
 
 
-def tree_of_columns(nodes: NodeColumns) -> LayoutTree:
-    """The cut tree whose columns are ``nodes``."""
+def tree_of_columns(
+    nodes: NodeColumns, children: tuple[Sequence[int], Sequence[int]] | None = None
+) -> LayoutTree:
+    """The cut tree whose columns are ``nodes``; ``children`` are its left
+    and right child ids, derived with :func:`child_ids` when not given."""
     kind = nodes[0]
-    left, right = child_ids(kind)
+    left, right = child_ids(kind) if children is None else children
     built: list = list(map(Rect, *nodes[1:]))
     for i in range(len(kind) - 1, -1, -1):
         if left[i] < 0:
@@ -314,6 +318,20 @@ def _leaf_ids(kind: Sequence, n: int) -> list[int]:
     return leaf
 
 
+def _float_columns(cols: Sequence[Sequence], length: int, what: str) -> tuple[tuple, ...]:
+    """``cols`` as four tuples of floats; ValueError unless they are four
+    columns of ``length`` finite numbers."""
+    if len(cols) != 4 or any(len(col) != length for col in cols):
+        raise ValueError(f"{what} must be four columns of {length} numbers")
+    try:
+        floats = tuple(tuple(map(float, col)) for col in cols)
+    except OverflowError:
+        raise ValueError(f"{what} hold a number beyond the largest double") from None
+    if not all(map(math.isfinite, chain.from_iterable(floats))):
+        raise ValueError(f"{what} must hold finite numbers")
+    return floats
+
+
 class Layout:
     """Placed panes, one per target area and in the same order, plus the cut
     tree that produced them. ``tree`` is None for layouts loaded from flat
@@ -325,7 +343,9 @@ class Layout:
     off the objects, and ``rects`` and ``tree`` are built from them on first
     read. Construction checks a tree's shape once: the nodes must form
     exactly one tree, whose ``children`` it keeps, and its leaves must cover
-    the area indices exactly once and agree with the rects.
+    the area indices exactly once and agree with the rects. Every coordinate
+    column must hold one finite number per pane or node; the layout keeps
+    them as floats.
 
     Two layouts are equal when their columns are: their rects are equal and
     their trees list equal nodes (kind and pane) in preorder, the value of a
@@ -345,21 +365,25 @@ class Layout:
         cls, n: int, nodes: NodeColumns | None, panes: PaneColumns | None = None
     ) -> "Layout":
         """The layout of ``n`` panes with tree columns ``nodes`` and pane
-        columns ``panes``; either may be None, not both. Without ``panes``
-        the panes are the tree's leaves."""
+        columns ``panes``; either may be None, not both (ValueError). Without
+        ``panes`` the panes are the tree's leaves."""
         layout = cls.__new__(cls)
         layout._set(n, nodes, panes)
         return layout
 
     def _set(self, n: int, nodes: NodeColumns | None, panes: PaneColumns | None) -> None:
         children = None
+        if panes is not None:
+            panes = _float_columns(panes, n, "pane columns")  # type: ignore[assignment]
         if nodes is not None:
-            nodes = tuple(map(tuple, nodes)) or ((),) * 5  # type: ignore[assignment]
-            # Shape (an empty listing, even without columns, is no tree),
-            # then coverage before agreement, so that a duplicated leaf is
-            # named as such.
-            children = tuple(map(tuple, child_ids(nodes[0])))
-            leaf = _leaf_ids(nodes[0], n)
+            # An empty listing, even without columns, is no tree.
+            nodes = tuple(nodes) or ((),) * 5  # type: ignore[assignment]
+            kind = tuple(nodes[0])
+            nodes = (kind, *_float_columns(nodes[1:], len(kind), "tree node columns"))
+            # Shape, then coverage before agreement, so that a duplicated
+            # leaf is named as such.
+            children = tuple(map(tuple, child_ids(kind)))
+            leaf = _leaf_ids(kind, n)
             placed = tuple(tuple([col[i] for i in leaf]) for col in nodes[1:])
             if panes is not None and panes != placed:
                 bad = next(
@@ -367,6 +391,8 @@ class Layout:
                 )
                 raise ValueError(f"rects[{bad}] disagrees with its leaf")
             panes = placed  # type: ignore[assignment]
+        elif panes is None:
+            raise ValueError("a layout needs a cut tree or pane columns")
         self._panes, self._nodes, self._children = panes, nodes, children
         self._rects = self._tree = None
 
@@ -400,7 +426,7 @@ class Layout:
     @property
     def tree(self) -> LayoutTree | None:
         if self._tree is None and self._nodes is not None:
-            self._tree = tree_of_columns(self._nodes)
+            self._tree = tree_of_columns(self._nodes, self._children)
         return self._tree
 
     def __eq__(self, other: object) -> bool:

@@ -1,13 +1,27 @@
-"""Shared test helpers: layout-tree walkers and a dense validation reference."""
+"""Shared test helpers: layout-tree walkers, a dense validation reference,
+and reference writers and forced-pane closure that the library's must match."""
 
 from __future__ import annotations
 
+import bisect
+import json
 import math
+from typing import Any, Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from rectpart import Cut, GenSpec, Internal, Layout, Leaf, Rect, aspect_ratio, generate, preorder
-from rectpart.geometry import OVERLAP_REL_TOL, REL_TOL, LayoutDiagnostics, child_ids
+from rectpart.bounds import EDGE_TOL, QualityReport
+from rectpart.fileio import LAYOUT_VERSION
+from rectpart.geometry import (
+    OVERLAP_REL_TOL,
+    REL_TOL,
+    LayoutDiagnostics,
+    LayoutTree,
+    child_ids,
+    tree_columns,
+)
 
 
 def geometric_chain(n=600, seed=7):
@@ -119,3 +133,190 @@ def dense_validate_layout(inst, layout):
         containment_ok=out.size == 0,
         escapees=tuple(int(i) for i in out),
     )
+
+
+#: Coordinates for hand-built layouts: zeros of both signs, which compare
+#: equal but print apart, the smallest subnormal and near-overflow extents.
+SPECIAL_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.5, 1.0, 3.0, 1e300, -1e300, 1.7976931348623157e308
+)
+
+#: Containers at the origin with signed zeros, at an offset, and with
+#: extents near the smallest subnormal and near 1e300.
+CONTAINERS = (
+    Rect(-0.0, -0.0, 1, 1),
+    Rect(3.25, -7.5, 2, 1),
+    Rect(0, 0, 1e300, 1e-300),
+    Rect(0, 0, 5e-324, 1e300),
+)
+
+
+@st.composite
+def column_layouts(draw, tree=st.booleans()):
+    """A layout built from columns: a random cut tree over 1..12 leaves (or
+    flat panes) whose finite coordinates and positive extents come from
+    small pools, so that values repeat, print alike or apart, and edges
+    meet."""
+    n = draw(st.integers(1, 12))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    at = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), finite), min_size=1, max_size=6))
+    extent = draw(st.lists(
+        st.one_of(
+            st.sampled_from([v for v in SPECIAL_FLOATS if v > 0]), finite.filter(lambda v: v > 0)
+        ),
+        min_size=1, max_size=6,
+    ))
+    def coords(m):
+        return tuple(
+            tuple(draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m)))
+            for pool in (at, at, extent, extent)
+        )
+    if not draw(tree):
+        return Layout.of_columns(n, None, coords(n))
+    kind: list = []
+    leaves = iter(draw(st.permutations(range(n))))
+    sizes = [n]  # leaves still to place under each pending subtree, preorder
+    while sizes:
+        size = sizes.pop()
+        if size == 1:
+            kind.append(next(leaves))
+        else:
+            kind.append(draw(st.sampled_from(Cut)))
+            left = draw(st.integers(1, size - 1))
+            sizes += [size - left, left]
+    return Layout.of_columns(n, (tuple(kind), *coords(len(kind))))
+
+
+def _dumps(doc: Any) -> bytes:
+    return (json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n").encode("utf-8")
+
+
+def _pane_obj(x: float, y: float, w: float, h: float) -> dict:
+    return {"x": x, "y": y, "width": w, "height": h}
+
+
+def reference_serialize_layout(layout: Layout, *, include_tree: bool = False) -> bytes:
+    """Reference for :func:`rectpart.serialize_layout`: the document built as
+    dicts and written by ``json.dumps``."""
+    doc: dict[str, Any] = {
+        "version": LAYOUT_VERSION,
+        "rects": [
+            {"index": i, "x": x, "y": y, "width": w, "height": h}
+            for i, (x, y, w, h) in enumerate(zip(*layout.panes))
+        ],
+        "totalHalfPerimeter": layout.total_half_perimeter(),
+    }
+    if include_tree and layout.nodes is not None:
+        doc["tree"] = [
+            {"index": k, "rect": _pane_obj(*pane)} if isinstance(k, int)
+            else {"cut": k.value, "rect": _pane_obj(*pane)}
+            for k, *pane in zip(*layout.nodes)
+        ]
+    return _dumps(doc)
+
+
+def _ratio(r: float) -> float | None:
+    return r if r != math.inf else None
+
+
+def reference_report_to_json(rep: QualityReport) -> bytes:
+    """Reference for :func:`rectpart.report_to_json`: the document built as
+    dicts and written by ``json.dumps``."""
+    doc = {
+        "totalHalfPerimeter": rep.total_half_perimeter,
+        "naiveLowerBound": rep.naive_lower_bound,
+        "forcedAwareLowerBound": rep.forced_aware_lower_bound,
+        "approxRatio": rep.approx_ratio,
+        "maxAspectRatio": _ratio(rep.max_aspect_ratio),
+        "perRect": [
+            {
+                "index": p.index,
+                "halfPerimeter": p.half_perimeter,
+                "aspectRatio": _ratio(p.aspect_ratio),
+                "isForced": p.forced,
+            }
+            for p in rep.per_rect
+        ],
+    }
+    return _dumps(doc)
+
+
+def _long_edges(x: float, y: float, w: float, h: float) -> list[tuple[str, float, float, float]]:
+    """Long edges of a pane as (orientation, line coordinate, span start, span end).
+
+    Horizontal edges for wide panes, vertical for tall ones, all four for
+    exact squares.
+    """
+    horiz = [("h", y, x, x + w), ("h", y + h, x, x + w)]
+    vert = [("v", x, y, y + h), ("v", x + w, y, y + h)]
+    if w > h:
+        return horiz
+    if h > w:
+        return vert
+    return horiz + vert
+
+
+def reference_detect_forced(
+    tree: LayoutTree | Layout, areas: Sequence[float], *, per_edge: bool = True
+) -> set[int]:
+    """Reference for :func:`rectpart.detect_forced`: the same closure over a
+    candidate index built from per-node edge lists."""
+    if not isinstance(tree, Layout):
+        nodes = tree_columns(tree)
+        left_id, right_id = child_ids(nodes[0])
+    elif tree.nodes is None:
+        raise ValueError("the layout carries no cut tree")
+    else:
+        nodes, (left_id, right_id) = tree.nodes, tree.children
+    kind, xs, ys, ws, hs = nodes
+    n_nodes = len(kind)
+
+    a_max = [0.0] * n_nodes
+    for i in range(n_nodes - 1, -1, -1):
+        if left_id[i] < 0:
+            if not 0 <= kind[i] < len(areas):
+                raise ValueError(f"leaf index {kind[i]} outside the area list")
+            a_max[i] = float(areas[kind[i]])
+        else:
+            a_max[i] = max(a_max[left_id[i]], a_max[right_id[i]])
+
+    tol = EDGE_TOL * max(ws[0], hs[0])
+
+    # All candidate long edges, bucketed by orientation and sorted by their
+    # supporting line so a forced edge only scans nearby candidates.
+    edges_of = list(map(_long_edges, xs, ys, ws, hs))
+    cand: dict[str, list[tuple[float, float, float, int, int]]] = {"h": [], "v": []}
+    for i, edges in enumerate(edges_of):
+        for slot, (orient, c, lo, hi) in enumerate(edges):
+            cand[orient].append((c, lo, hi, i, slot))
+    for orient in cand:
+        cand[orient].sort(key=lambda t: t[0])
+    coords = {orient: [t[0] for t in cand[orient]] for orient in cand}
+
+    covered = [0] * n_nodes
+    forced = [False] * n_nodes
+    queue: list[int] = []
+
+    def force(i: int) -> None:
+        if not forced[i]:
+            forced[i] = True
+            queue.append(i)
+
+    force(0)
+    while queue:
+        f = queue.pop()
+        if left_id[f] >= 0 and a_max[f] >= 0.5 * (ws[f] * hs[f]) * (1.0 - 1e-12):
+            force(right_id[f])
+        by_f: dict[int, int] = {}  # the bits that f alone covers, per candidate
+        for orient, c, lo, hi in edges_of[f]:
+            start = bisect.bisect_left(coords[orient], c - tol)
+            stop = bisect.bisect_right(coords[orient], c + tol)
+            for _, clo, chi, j, slot in cand[orient][start:stop]:
+                if not forced[j] and clo >= lo - tol and chi <= hi + tol:
+                    by_f[j] = by_f.get(j, 0) | 1 << slot
+        for j, bits in by_f.items():
+            if per_edge:
+                bits = covered[j] = covered[j] | bits
+            if bits & 0b0011 == 0b0011 or bits & 0b1100 == 0b1100:
+                force(j)
+    return {i for i in range(n_nodes) if forced[i]}

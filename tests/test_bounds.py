@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rectpart as rp
 
-from conftest import parent_ids
+from conftest import CONTAINERS, column_layouts, parent_ids, reference_detect_forced
 
 
 def test_single_pane_tree_is_forced():
@@ -155,3 +157,34 @@ def test_bound_and_closure_invariants(family, q, n):
     parents = parent_ids(layout.tree)
     for node_id in forced:
         assert parents[node_id] == -1 or parents[node_id] in forced
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_layouts(tree=st.just(True)), st.booleans(), st.data())
+def test_detect_forced_matches_reference_on_column_trees(layout, per_edge, data):
+    n = len(layout.panes[0])
+    areas = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    got = rp.detect_forced(layout, areas, per_edge=per_edge)
+    assert got == reference_detect_forced(layout, areas, per_edge=per_edge)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(CONTAINERS + (rp.Rect(0, 0, 1, 1),)),
+    st.one_of(
+        st.lists(st.floats(0.01, 1.0), min_size=1, max_size=30),
+        st.lists(st.sampled_from((1.0, 2.0, 4.0)), min_size=1, max_size=30),
+        st.builds(lambda n, q: [q**i for i in range(n)], st.integers(1, 30), st.floats(0.1, 0.95)),
+    ),
+    st.sampled_from([rp.partition_dc, rp.partition_mdc]),
+    st.booleans(),
+)
+def test_detect_forced_matches_reference_on_partitions(container, areas, partition, per_edge):
+    inst = rp.make_instance(container, areas, normalize=True)
+    try:
+        layout = partition(inst)
+    except ValueError:
+        assume(False)  # no representable cut (ROADMAP item 4)
+    want = reference_detect_forced(layout, inst.areas, per_edge=per_edge)
+    assert rp.detect_forced(layout, inst.areas, per_edge=per_edge) == want
+    assert rp.detect_forced(layout.tree, inst.areas, per_edge=per_edge) == want

@@ -1,13 +1,24 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rectpart as rp
+from rectpart.bounds import PaneQuality, QualityReport
 from rectpart.cli import cli_main
 from rectpart.fileio import FileFormatError
 
-from conftest import geometric_chain, strip_chain
+from conftest import (
+    CONTAINERS,
+    column_layouts,
+    geometric_chain,
+    reference_report_to_json,
+    reference_serialize_layout,
+    strip_chain,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -230,3 +241,85 @@ def test_serialize_instance_requires_origin_container():
     inst = rp.make_instance(rp.Rect(1, 0, 1, 1), [1.0])
     with pytest.raises(FileFormatError):
         rp.serialize_instance(inst)
+
+
+def _outcome(write, *args, **kwargs):
+    """The bytes a writer returns, or the type of the error it raises."""
+    try:
+        return write(*args, **kwargs)
+    except (ValueError, OverflowError) as e:
+        return type(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_layouts(), st.booleans())
+def test_layout_writer_matches_json_dumps_on_column_layouts(layout, include_tree):
+    assert _outcome(rp.serialize_layout, layout, include_tree=include_tree) == _outcome(
+        reference_serialize_layout, layout, include_tree=include_tree
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(CONTAINERS),
+    st.one_of(
+        st.lists(st.floats(0.01, 1.0), min_size=1, max_size=30),
+        st.lists(st.sampled_from((1.0, 2.0, 4.0)), min_size=1, max_size=30),
+    ),
+    st.sampled_from([rp.partition_dc, rp.partition_mdc]),
+)
+def test_writers_match_json_dumps_on_partitions(container, areas, partition):
+    inst = rp.make_instance(container, areas, normalize=True)
+    try:
+        layout = partition(inst)
+    except ValueError:
+        assume(False)  # no representable cut (ROADMAP item 4)
+    for include_tree in (False, True):
+        data = rp.serialize_layout(layout, include_tree=include_tree)
+        assert data == reference_serialize_layout(layout, include_tree=include_tree)
+    if rp.validate_layout(inst, layout).ok:
+        rep = rp.report(inst, layout)
+        assert rp.report_to_json(rep) == reference_report_to_json(rep)
+
+
+def test_report_writes_null_for_an_infinite_aspect_ratio():
+    inst = rp.make_instance(rp.Rect(0, 0, 1e-300, 1e10), [5e-291, 5e-291])
+    rep = rp.report(inst, rp.partition_dc(inst))
+    assert rep.max_aspect_ratio == math.inf
+    data = rp.report_to_json(rep)
+    assert data == reference_report_to_json(rep)
+    doc = json.loads(data)
+    assert doc["maxAspectRatio"] is None and doc["perRect"][0]["aspectRatio"] is None
+
+
+report_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((0.0, -0.0, 5e-324, 1e300, math.inf)),
+    st.floats(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(*[report_numbers] * 5),
+    st.lists(st.tuples(report_numbers, report_numbers, st.booleans()), max_size=6),
+)
+def test_report_writer_matches_json_dumps(scalars, rows):
+    rep = QualityReport(*scalars, tuple(PaneQuality(i, *row) for i, row in enumerate(rows)))
+    assert _outcome(rp.report_to_json, rep) == _outcome(reference_report_to_json, rep)
+
+
+def test_writers_refuse_numbers_json_lacks():
+    # One pane whose half-perimeter overflows: the total is infinite.
+    layout = rp.Layout.of_columns(1, None, ((0.0,), (0.0,), (1.7e308,), (1.7e308,)))
+    assert layout.total_half_perimeter() == math.inf
+    for include_tree in (False, True):
+        with pytest.raises(ValueError):
+            rp.serialize_layout(layout, include_tree=include_tree)
+    pane = PaneQuality(0, 2.0, 1.0, True)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            rp.report_to_json(QualityReport(bad, 2.0, 2.0, 1.0, 1.0, (pane,)))
+        bad_pane = PaneQuality(0, bad, 1.0, True)
+        with pytest.raises(ValueError):
+            rp.report_to_json(QualityReport(2.0, 2.0, 2.0, 1.0, 1.0, (bad_pane,)))

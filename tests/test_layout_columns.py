@@ -2,6 +2,7 @@
 the partition path builds no pane objects."""
 
 import copy
+import math
 import pickle
 
 import pytest
@@ -169,3 +170,34 @@ def test_cli_derives_each_tree_shape_once(tmp_path, monkeypatch):
         assert cli_main(argv) == 0
         counts[name] = len(calls)
     assert counts == {"partition": 1, "partition --report --svg": 1, "eval": 1, "oracle": 1}
+    # A layout's first tree read reuses the child ids it holds.
+    layout = rp.partition_mdc(inst)
+    calls.clear()
+    assert isinstance(layout.tree, rp.Internal)
+    assert calls == []
+
+
+def test_layout_checks_flat_pane_columns():
+    with pytest.raises(ValueError, match="needs a cut tree or pane columns"):
+        rp.Layout.of_columns(2, None)
+    for panes in (
+        ((0.0, 0.5), (0.0,), (0.5, 0.5), (1.0, 1.0)),  # a short column
+        ((0.0,), (0.0,), (1.0,), (1.0,)),  # one pane for two
+        ((0.0, 0.0), (0.0, 0.5), (1.0, 1.0)),  # three columns
+    ):
+        with pytest.raises(ValueError, match="four columns of 2 numbers"):
+            rp.Layout.of_columns(2, None, panes)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            rp.Layout.of_columns(1, None, ((0.0,), (bad,), (1.0,), (1.0,)))
+        with pytest.raises(ValueError, match="finite"):
+            rp.Layout.of_columns(1, ((0,), (0.0,), (0.0,), (bad,), (1.0,)))
+    with pytest.raises(ValueError, match="beyond the largest double"):
+        rp.Layout.of_columns(1, None, ((0,), (0,), (10**400,), (1,)))
+    # Coordinates are kept as floats, so the writers print them as floats.
+    layout = rp.Layout.of_columns(1, None, ((0,), (0,), (1,), (1,)))
+    assert all(type(v) is float for col in layout.panes for v in col)
+    assert rp.serialize_layout(layout) == (
+        b'{"version":2,"rects":[{"index":0,"x":0.0,"y":0.0,"width":1.0,"height":1.0}],'
+        b'"totalHalfPerimeter":2.0}\n'
+    )
