@@ -34,10 +34,7 @@ from .geometry import (
     LayoutTree,
     Leaf,
     Rect,
-    aspect_ratio,
-    half_perimeter,
     make_instance,
-    preorder,
     split_rect,
     validate_layout,
 )
@@ -66,12 +63,10 @@ __all__ = [
     "Rect",
     "ReductionStats",
     "SvgOptions",
-    "aspect_ratio",
     "bipartition_two_smallest",
     "cli_main",
     "detect_forced",
     "generate",
-    "half_perimeter",
     "lower_bound",
     "make_instance",
     "mdc_reduce_step",
@@ -80,7 +75,6 @@ __all__ = [
     "parse_layout",
     "partition_dc",
     "partition_mdc",
-    "preorder",
     "render_svg",
     "report",
     "report_to_json",

@@ -37,17 +37,15 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from .geometry import Instance, Layout, LayoutTree, child_ids, tree_columns, validate_layout
+from .geometry import Instance, Layout, validate_layout
 
 #: Coordinate slack for edge containment, relative to the container extent.
 EDGE_TOL = 1e-9
 
 
-def detect_forced(
-    tree: LayoutTree | Layout, areas: Sequence[float], *, per_edge: bool = True
-) -> set[int]:
-    """Ids of forced nodes, indexing the preorder listing of ``tree``, a cut
-    tree or a layout with one.
+def detect_forced(layout: Layout, areas: Sequence[float], *, per_edge: bool = True) -> set[int]:
+    """Ids of forced nodes, indexing the preorder node columns of ``layout``;
+    ValueError when it carries no cut tree.
 
     ``areas`` is the instance's target-area list, looked up through each
     leaf's area index; it supplies the largest-constituent test for the
@@ -55,14 +53,10 @@ def detect_forced(
     publishes its long edges and, when a single constituent claims at least
     half its area, forces its right child.
     """
-    if not isinstance(tree, Layout):
-        nodes = tree_columns(tree)
-        left_id, right_id = child_ids(nodes[0])
-    elif tree.nodes is None:
+    if layout.nodes is None:
         raise ValueError("the layout carries no cut tree")
-    else:
-        nodes, (left_id, right_id) = tree.nodes, tree.children
-    kind, xs, ys, ws, hs = nodes
+    kind, xs, ys, ws, hs = layout.nodes
+    left_id, right_id = layout.children  # type: ignore[misc]
     n_nodes = len(kind)
 
     a_max = [0.0] * n_nodes

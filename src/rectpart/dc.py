@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .geometry import Cut, Instance, Layout, check_pane, cut_across, cut_pane
+from .geometry import Cut, Instance, Layout, cut_across, cut_pane
 from .geometry import split_rect  # noqa: F401  (perfbench's tracer wraps dc.split_rect)
 
 #: Worst-case ratio between the produced total half-perimeter and the best
@@ -121,14 +121,13 @@ def _place(inst: Instance, choose: Callable[[float, float, list[float]], Choice]
     # sorted values and area indices; choose(w, h, values) picks the cut and
     # cut_pane makes the pieces. The second piece is pushed first, so the
     # nodes come out in preorder, one row (kind, x, y, w, h) each, and no
-    # pane object is built.
+    # pane object is built. Layout.of_columns checks every pane once.
     values, perm = sort_descending(inst.areas)
     c = inst.container
     rows: list[tuple] = []
     stack = [((c.x, c.y, c.w, c.h), values, perm)]
     while stack:
         pane, values, indices = stack.pop()
-        check_pane(*pane)
         if len(values) == 1:
             rows.append((indices[0], *pane))
             continue

@@ -41,32 +41,14 @@ class Rect:
                 object.__setattr__(self, name, float(getattr(self, name)))
         except OverflowError:
             raise ValueError(f"rectangle field {name} lies beyond the largest double") from None
-        check_pane(self.x, self.y, self.w, self.h)
+        if not all(map(math.isfinite, (self.x, self.y, self.w, self.h))):
+            raise ValueError(f"rectangle fields must be finite: {self!r}")
+        if self.w <= 0 or self.h <= 0:
+            raise ValueError(f"rectangle extents must be positive: w={self.w}, h={self.h}")
 
     @property
     def area(self) -> float:
         return self.w * self.h
-
-
-def check_pane(x: float, y: float, w: float, h: float) -> None:
-    """:class:`Rect`'s tests on a pane given by its fields: ValueError unless
-    all four are finite and both extents positive."""
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
-        raise ValueError(
-            f"rectangle fields must be finite: Rect(x={x!r}, y={y!r}, w={w!r}, h={h!r})"
-        )
-    if w <= 0 or h <= 0:
-        raise ValueError(f"rectangle extents must be positive: w={w}, h={h}")
-
-
-def half_perimeter(r: Rect) -> float:
-    """Width plus height, the per-pane cost the partitioners minimize."""
-    return r.w + r.h
-
-
-def aspect_ratio(r: Rect) -> float:
-    """max(w/h, h/w); always >= 1, exactly 1 for a square."""
-    return max(r.w / r.h, r.h / r.w)
 
 
 class Cut(Enum):
@@ -176,18 +158,17 @@ NodeColumns = tuple[tuple, tuple, tuple, tuple, tuple]
 PaneColumns = tuple[tuple, tuple, tuple, tuple]
 
 
-def child_ids(nodes: Sequence) -> tuple[list[int], list[int]]:
-    """Left and right child ids of each node in a preorder listing, -1 for a
-    leaf. The listing holds tree nodes or a kind column: a :class:`Leaf` or
-    an area index is a leaf, anything else is internal. Raises ValueError
-    unless the listing forms exactly one tree."""
-    left = [-1] * len(nodes)
-    right = [-1] * len(nodes)
+def child_ids(kind: Sequence) -> tuple[list[int], list[int]]:
+    """Left and right child ids of each node of a preorder kind column, -1
+    for a leaf: an area index is a leaf, anything else is internal. Raises
+    ValueError unless the column forms exactly one tree."""
+    left = [-1] * len(kind)
+    right = [-1] * len(kind)
     stack: list[int] = []
     # Scanning backwards completes both subtrees of a node, left on top,
     # before the node itself is reached.
-    for i in range(len(nodes) - 1, -1, -1):
-        if not isinstance(nodes[i], (int, Leaf)):
+    for i in range(len(kind) - 1, -1, -1):
+        if not isinstance(kind[i], int):
             if len(stack) < 2:
                 raise ValueError(f"internal tree node {i} lacks a child")
             left[i] = stack.pop()
@@ -199,11 +180,17 @@ def child_ids(nodes: Sequence) -> tuple[list[int], list[int]]:
 
 
 def tree_columns(tree: LayoutTree) -> NodeColumns:
-    """The columns of ``tree``, read in one walk of its preorder listing."""
-    rows = [
-        (node.area_index if isinstance(node, Leaf) else node.cut, *_xywh(node.rect))
-        for node in preorder(tree)
-    ]
+    """The columns of ``tree``, read in one preorder walk."""
+    rows = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            rows.append((node.area_index, *_xywh(node.rect)))
+        else:
+            rows.append((node.cut, *_xywh(node.rect)))
+            stack.append(node.right)
+            stack.append(node.left)
     return tuple(zip(*rows))  # type: ignore[return-value]
 
 
@@ -225,19 +212,6 @@ def tree_of_columns(
         else:
             built[i] = Internal(built[i], kind[i], built[left[i]], built[right[i]])
     return built[0]
-
-
-def preorder(tree: LayoutTree) -> list[LayoutTree]:
-    """All nodes of ``tree``, each parent before its children, root first."""
-    out: list[LayoutTree] = []
-    stack: list[LayoutTree] = [tree]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if isinstance(node, Internal):
-            stack.append(node.right)
-            stack.append(node.left)
-    return out
 
 
 def _area_floats(areas) -> tuple[float, ...]:
@@ -319,8 +293,9 @@ def _leaf_ids(kind: Sequence, n: int) -> list[int]:
 
 
 def _float_columns(cols: Sequence[Sequence], length: int, what: str) -> tuple[tuple, ...]:
-    """``cols`` as four tuples of floats; ValueError unless they are four
-    columns of ``length`` finite numbers."""
+    """``cols`` as four tuples of floats, x, y, w and h; ValueError unless
+    they are four columns of ``length`` finite numbers whose extents, w and
+    h, are positive: the panes :class:`Rect` accepts."""
     if len(cols) != 4 or any(len(col) != length for col in cols):
         raise ValueError(f"{what} must be four columns of {length} numbers")
     try:
@@ -329,6 +304,8 @@ def _float_columns(cols: Sequence[Sequence], length: int, what: str) -> tuple[tu
         raise ValueError(f"{what} hold a number beyond the largest double") from None
     if not all(map(math.isfinite, chain.from_iterable(floats))):
         raise ValueError(f"{what} must hold finite numbers")
+    if not min(chain(floats[2], floats[3]), default=1.0) > 0.0:
+        raise ValueError(f"{what} must hold positive extents")
     return floats
 
 
@@ -339,13 +316,13 @@ class Layout:
 
     A layout holds columns: ``panes`` (:data:`PaneColumns`) and ``nodes``,
     the tree's :data:`NodeColumns`, or None without a tree. The placer and
-    the file reader write them directly, ``Layout(rects, tree)`` reads them
-    off the objects, and ``rects`` and ``tree`` are built from them on first
-    read. Construction checks a tree's shape once: the nodes must form
-    exactly one tree, whose ``children`` it keeps, and its leaves must cover
-    the area indices exactly once and agree with the rects. Every coordinate
-    column must hold one finite number per pane or node; the layout keeps
-    them as floats.
+    the file reader write them with :meth:`of_columns`, ``Layout(rects,
+    tree)`` reads them off the objects, and ``rects`` and ``tree`` are built
+    from them on first read. Construction checks everything once: a layout
+    has at least one pane; every pane and node is one :class:`Rect` would
+    accept (finite coordinates, positive extents), kept as floats; the nodes
+    form exactly one tree, whose ``children`` it keeps; and its leaves cover
+    the area indices exactly once and agree with the rects.
 
     Two layouts are equal when their columns are: their rects are equal and
     their trees list equal nodes (kind and pane) in preorder, the value of a
@@ -393,15 +370,11 @@ class Layout:
             panes = placed  # type: ignore[assignment]
         elif panes is None:
             raise ValueError("a layout needs a cut tree or pane columns")
+        elif n < 1:
+            # A tree always has a leaf, which no n < 1 admits.
+            raise ValueError("a layout needs at least one pane")
         self._panes, self._nodes, self._children = panes, nodes, children
         self._rects = self._tree = None
-
-    @classmethod
-    def from_tree(cls, tree: LayoutTree, n: int) -> "Layout":
-        """The layout of the tree's leaves; raises ValueError unless they cover 0..n-1 once."""
-        layout = cls.of_columns(n, tree_columns(tree))
-        layout._tree = tree
-        return layout
 
     @property
     def panes(self) -> PaneColumns:

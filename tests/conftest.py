@@ -1,5 +1,6 @@
-"""Shared test helpers: layout-tree walkers, a dense validation reference,
-and reference writers and forced-pane closure that the library's must match."""
+"""Shared test helpers: readers of a layout's tree columns, a dense
+validation reference, and reference writers and forced-pane closure that the
+library's must match."""
 
 from __future__ import annotations
 
@@ -11,17 +12,10 @@ from typing import Any, Sequence
 import numpy as np
 from hypothesis import strategies as st
 
-from rectpart import Cut, GenSpec, Internal, Layout, Leaf, Rect, aspect_ratio, generate, preorder
+from rectpart import Cut, GenSpec, Layout, Rect, generate
 from rectpart.bounds import EDGE_TOL, QualityReport
 from rectpart.fileio import LAYOUT_VERSION
-from rectpart.geometry import (
-    OVERLAP_REL_TOL,
-    REL_TOL,
-    LayoutDiagnostics,
-    LayoutTree,
-    child_ids,
-    tree_columns,
-)
+from rectpart.geometry import OVERLAP_REL_TOL, REL_TOL, LayoutDiagnostics
 
 
 def geometric_chain(n=600, seed=7):
@@ -31,11 +25,18 @@ def geometric_chain(n=600, seed=7):
 
 def strip_chain(n):
     """n unit squares in a 1-high strip, cut off the left one at a time: a
-    tree n - 1 cuts deep, built bottom-up without recursion."""
-    tree = Leaf(Rect(n - 1, 0, 1, 1), n - 1)
-    for i in range(n - 2, -1, -1):
-        tree = Internal(Rect(i, 0, n - i, 1), Cut.VERTICAL, Leaf(Rect(i, 0, 1, 1), i), tree)
-    return Layout.from_tree(tree, n)
+    tree n - 1 cuts deep, listed in preorder as columns. Cut i at x = i
+    precedes its left leaf, square i; the last node is square n - 1."""
+    kind = [k for i in range(n - 1) for k in (Cut.VERTICAL, i)] + [n - 1]
+    x = [i for i in range(n - 1) for _ in (0, 1)] + [n - 1]
+    w = [v for i in range(n - 1) for v in (n - i, 1)] + [1]
+    m = len(kind)
+    return Layout.of_columns(n, (tuple(kind), tuple(x), (0,) * m, tuple(w), (1,) * m))
+
+
+def aspect(w, h):
+    """max(w/h, h/w): at least 1, exactly 1 for a square."""
+    return max(w / h, h / w)
 
 
 def consecutive_ratio_cap(inst):
@@ -43,7 +44,7 @@ def consecutive_ratio_cap(inst):
     ratio, 3, or one plus the largest consecutive ratio of the sorted areas."""
     dec = sorted(inst.areas, reverse=True)
     max_ratio = max((dec[i] / dec[i + 1] for i in range(len(dec) - 1)), default=1.0)
-    return max(aspect_ratio(inst.container), 3.0, 1.0 + max_ratio)
+    return max(aspect(inst.container.w, inst.container.h), 3.0, 1.0 + max_ratio)
 
 
 def node_invariants(inst, layout):
@@ -54,38 +55,36 @@ def node_invariants(inst, layout):
     area claims more than two thirds of the parent.
     ar: every node's aspect ratio stays under consecutive_ratio_cap.
     """
-    nodes = preorder(layout.tree)
-    left_id, right_id = child_ids(nodes)
-    count = len(nodes)
+    kind, _, _, ws, hs = layout.nodes
+    left_id, right_id = layout.children
+    count = len(kind)
+    area = [w * h for w, h in zip(ws, hs)]
     amax = [0.0] * count
     for i in range(count - 1, -1, -1):
-        node = nodes[i]
-        if isinstance(node, Leaf):
-            amax[i] = inst.areas[node.area_index]
+        if left_id[i] < 0:
+            amax[i] = inst.areas[kind[i]]
         else:
             amax[i] = max(amax[left_id[i]], amax[right_id[i]])
 
     cap = consecutive_ratio_cap(inst) + 1e-9
-    ar_ok = all(aspect_ratio(node.rect) <= cap for node in nodes)
+    ar_ok = all(aspect(w, h) <= cap for w, h in zip(ws, hs))
 
     balance_ok = True
-    for i, node in enumerate(nodes):
-        if isinstance(node, Internal):
-            area = node.rect.area
-            eps = 1e-9 * area
-            if nodes[left_id[i]].rect.area < area / 3.0 - eps:
+    for i in range(count):
+        if left_id[i] >= 0:
+            eps = 1e-9 * area[i]
+            if area[left_id[i]] < area[i] / 3.0 - eps:
                 balance_ok = False
-            if amax[i] <= (2.0 / 3.0) * area and nodes[right_id[i]].rect.area < area / 3.0 - eps:
+            if amax[i] <= (2.0 / 3.0) * area[i] and area[right_id[i]] < area[i] / 3.0 - eps:
                 balance_ok = False
     return balance_ok, ar_ok
 
 
-def parent_ids(tree):
-    """parent id per preorder node id, -1 for the root."""
-    nodes = preorder(tree)
-    left_id, right_id = child_ids(nodes)
-    parents = [-1] * len(nodes)
-    for i in range(len(nodes)):
+def parent_ids(layout):
+    """parent id per preorder node id of the layout's tree, -1 for the root."""
+    left_id, right_id = layout.children
+    parents = [-1] * len(left_id)
+    for i in range(len(left_id)):
         if left_id[i] >= 0:
             parents[left_id[i]] = i
             parents[right_id[i]] = i
@@ -257,18 +256,14 @@ def _long_edges(x: float, y: float, w: float, h: float) -> list[tuple[str, float
 
 
 def reference_detect_forced(
-    tree: LayoutTree | Layout, areas: Sequence[float], *, per_edge: bool = True
+    layout: Layout, areas: Sequence[float], *, per_edge: bool = True
 ) -> set[int]:
     """Reference for :func:`rectpart.detect_forced`: the same closure over a
     candidate index built from per-node edge lists."""
-    if not isinstance(tree, Layout):
-        nodes = tree_columns(tree)
-        left_id, right_id = child_ids(nodes[0])
-    elif tree.nodes is None:
+    if layout.nodes is None:
         raise ValueError("the layout carries no cut tree")
-    else:
-        nodes, (left_id, right_id) = tree.nodes, tree.children
-    kind, xs, ys, ws, hs = nodes
+    kind, xs, ys, ws, hs = layout.nodes
+    left_id, right_id = layout.children
     n_nodes = len(kind)
 
     a_max = [0.0] * n_nodes

@@ -12,21 +12,21 @@ from conftest import CONTAINERS, column_layouts, parent_ids, reference_detect_fo
 def test_single_pane_tree_is_forced():
     inst = rp.make_instance(rp.Rect(0, 0, 2, 1), [2.0])
     layout = rp.partition_dc(inst)
-    assert rp.detect_forced(layout.tree, inst.areas) == {0}
+    assert rp.detect_forced(layout, inst.areas) == {0}
 
 
 def test_dominant_area_forces_everything_in_halving():
     inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.6, 0.4])
     layout = rp.partition_dc(inst)
     # preorder: 0 root, 1 top pane (0.6), 2 bottom pane (0.4)
-    forced = rp.detect_forced(layout.tree, inst.areas)
+    forced = rp.detect_forced(layout, inst.areas)
     assert forced == {0, 1, 2}
 
 
 def test_conservative_mode_needs_one_certifier_for_both_edges():
     inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.6, 0.4])
     layout = rp.partition_dc(inst)
-    forced = rp.detect_forced(layout.tree, inst.areas, per_edge=False)
+    forced = rp.detect_forced(layout, inst.areas, per_edge=False)
     # the top pane's edges lie in two different forced rectangles, so the
     # single-certifier reading leaves it out
     assert forced == {0, 2}
@@ -40,7 +40,7 @@ def test_square_forced_through_its_second_edge_pair(partition, per_edge):
     # preorder: 0 the tall container, 1 top square, 2 bottom square. The
     # container's long edges cover the top square's vertical pair; its top
     # edge y=2 lies in no forced long edge, so only the second pair counts.
-    assert rp.detect_forced(layout.tree, inst.areas, per_edge=per_edge) == {0, 1, 2}
+    assert rp.detect_forced(layout, inst.areas, per_edge=per_edge) == {0, 1, 2}
 
 
 @pytest.mark.parametrize("partition", [rp.partition_dc, rp.partition_mdc])
@@ -48,14 +48,14 @@ def test_squares_under_a_dominant_half(partition):
     inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.5, 0.25, 0.25])
     layout = partition(inst)
     # preorder: 0 root, 1 top half, 2 bottom half, 3 and 4 its two squares
-    assert rp.detect_forced(layout.tree, inst.areas) == {0, 1, 2, 3, 4}
-    assert rp.detect_forced(layout.tree, inst.areas, per_edge=False) == {0, 2, 3, 4}
+    assert rp.detect_forced(layout, inst.areas) == {0, 1, 2, 3, 4}
+    assert rp.detect_forced(layout, inst.areas, per_edge=False) == {0, 2, 3, 4}
 
 
 def test_no_dominant_area_keeps_right_child_unforced():
     inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.4, 0.3, 0.3])
     layout = rp.partition_dc(inst)
-    forced = rp.detect_forced(layout.tree, inst.areas)
+    forced = rp.detect_forced(layout, inst.areas)
     assert forced == {0}
 
 
@@ -64,9 +64,8 @@ def test_detect_forced_rejects_flat_layouts_and_unknown_leaves():
     layout = rp.partition_dc(inst)
     with pytest.raises(ValueError, match="the layout carries no cut tree"):
         rp.detect_forced(rp.Layout(layout.rects, None), inst.areas)
-    for tree in (layout, layout.tree):
-        with pytest.raises(ValueError, match="leaf index 1 outside the area list"):
-            rp.detect_forced(tree, inst.areas[:1])
+    with pytest.raises(ValueError, match="leaf index 1 outside the area list"):
+        rp.detect_forced(layout, inst.areas[:1])
 
 
 def test_lower_bound_halves():
@@ -91,7 +90,7 @@ def test_lower_bound_single_area_is_container():
     inst = rp.make_instance(container, [4.0])
     layout = rp.partition_dc(inst)
     naive, forced = rp.lower_bound(inst, layout)
-    assert forced == rp.half_perimeter(container) == 5.0
+    assert forced == container.w + container.h == 5.0
     assert naive == pytest.approx(4.0, rel=1e-12)
 
 
@@ -153,8 +152,8 @@ def test_bound_and_closure_invariants(family, q, n):
     assert rep.forced_aware_lower_bound >= rep.naive_lower_bound - 1e-9
     assert rep.approx_ratio >= 1.0 - 1e-9
     # every forced node's parent is forced as well
-    forced = rp.detect_forced(layout.tree, inst.areas)
-    parents = parent_ids(layout.tree)
+    forced = rp.detect_forced(layout, inst.areas)
+    parents = parent_ids(layout)
     for node_id in forced:
         assert parents[node_id] == -1 or parents[node_id] in forced
 
@@ -187,4 +186,3 @@ def test_detect_forced_matches_reference_on_partitions(container, areas, partiti
         assume(False)  # no representable cut (ROADMAP item 4)
     want = reference_detect_forced(layout, inst.areas, per_edge=per_edge)
     assert rp.detect_forced(layout, inst.areas, per_edge=per_edge) == want
-    assert rp.detect_forced(layout.tree, inst.areas, per_edge=per_edge) == want

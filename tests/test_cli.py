@@ -10,7 +10,6 @@ import pytest
 import rectpart as rp
 from rectpart import cli
 from rectpart.cli import cli_main
-from rectpart.geometry import child_ids
 
 from conftest import geometric_chain
 
@@ -374,7 +373,7 @@ def test_eval_rejects_forged_cuts(tmp_path, capsys):
     )
     layout = rp.partition_dc(inst)
     doc = json.loads(rp.serialize_layout(layout, include_tree=True))
-    _, right_id = child_ids(rp.preorder(layout.tree))
+    _, right_id = layout.children
     for i, node in enumerate(doc["tree"]):
         if "cut" in node:
             node["rect"] = doc["tree"][right_id[i]]["rect"]

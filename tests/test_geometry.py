@@ -20,18 +20,6 @@ extent = st.floats(min_value=1e-3, max_value=1e3)
 rect_st = st.builds(rp.Rect, coord, coord, extent, extent)
 
 
-def test_half_perimeter_examples():
-    assert rp.half_perimeter(rp.Rect(0, 0, 1, 1)) == 2.0
-    assert rp.half_perimeter(rp.Rect(0, 0, 3, 1)) == 4.0
-    assert rp.half_perimeter(rp.Rect(0, 0, 0.5, 2.25)) == 2.75
-
-
-def test_aspect_ratio_examples():
-    assert rp.aspect_ratio(rp.Rect(0, 0, 1, 1)) == 1.0
-    assert rp.aspect_ratio(rp.Rect(0, 0, 3, 1)) == 3.0
-    assert rp.aspect_ratio(rp.Rect(0, 0, 1, 4)) == 4.0
-
-
 def test_rect_rejects_bad_fields():
     with pytest.raises(ValueError):
         rp.Rect(0, 0, 0, 1)
@@ -92,26 +80,6 @@ def test_split_rect_rejects_out_of_range_area():
     assert geometry.cut_extents(1.3, 3.0, rp.Cut.HORIZONTAL, below) is None
     # ...and the smallest double, cut off a 1e300-wide pane, has no height.
     assert geometry.cut_extents(1e300, 1e-300, rp.Cut.HORIZONTAL, 5e-324) is None
-
-
-@given(rect_st)
-def test_aspect_ratio_transpose_invariant(r):
-    transposed = rp.Rect(r.y, r.x, r.h, r.w)
-    assert rp.aspect_ratio(r) == rp.aspect_ratio(transposed)
-
-
-@given(rect_st)
-def test_half_perimeter_at_least_square(r):
-    hp = rp.half_perimeter(r)
-    floor = 2.0 * math.sqrt(r.area)
-    assert hp >= floor - 1e-12 * hp
-    if abs(r.w - r.h) <= 1e-12 * max(r.w, r.h):
-        assert hp == pytest.approx(floor, rel=1e-12)
-
-
-def test_half_perimeter_strictly_above_floor_for_non_squares():
-    r = rp.Rect(0, 0, 2, 1)
-    assert rp.half_perimeter(r) > 2.0 * math.sqrt(r.area) * (1 + 1e-12)
 
 
 @given(rect_st, st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
@@ -226,16 +194,16 @@ def test_validate_layout_flags_escapees():
 def test_layout_from_tree_checks_indices():
     r = rp.Rect(0, 0, 1, 1)
     with pytest.raises(ValueError, match="out of range"):
-        rp.Layout.from_tree(rp.Leaf(r, 1), 1)
+        rp.Layout((r,), rp.Leaf(r, 1))
     top, bottom = rp.Rect(0, 0.5, 1, 0.5), rp.Rect(0, 0, 1, 0.5)
     double = rp.Internal(r, rp.Cut.HORIZONTAL, rp.Leaf(top, 0), rp.Leaf(bottom, 0))
     with pytest.raises(ValueError, match="appears in two leaves"):
-        rp.Layout.from_tree(double, 2)
+        rp.Layout((top, bottom), double)
     with pytest.raises(ValueError, match=r"no leaf for area indices \[1\]"):
-        rp.Layout.from_tree(rp.Leaf(r, 0), 2)
+        rp.Layout((r, r), rp.Leaf(r, 0))
     with pytest.raises(ValueError, match=r"rects\[0\] disagrees"):
         rp.Layout((top,), rp.Leaf(r, 0))
-    lay = rp.Layout.from_tree(rp.Leaf(r, 0), 1)
+    lay = rp.Layout((r,), rp.Leaf(r, 0))
     assert lay.rects == (r,)
 
 

@@ -201,3 +201,32 @@ def test_layout_checks_flat_pane_columns():
         b'{"version":2,"rects":[{"index":0,"x":0.0,"y":0.0,"width":1.0,"height":1.0}],'
         b'"totalHalfPerimeter":2.0}\n'
     )
+
+
+def test_layout_refuses_panes_without_extent():
+    # Such a layout was accepted, and its rects and repr then raised.
+    for bad in (0.0, -0.0, -1.0):
+        for col in (2, 3):
+            panes = [(0.0,), (0.0,), (1.0,), (1.0,)]
+            panes[col] = (bad,)
+            with pytest.raises(ValueError, match="pane columns must hold positive extents"):
+                rp.Layout.of_columns(1, None, tuple(panes))
+            leaf = [(0,), (0.0,), (0.0,), (1.0,), (1.0,)]
+            leaf[col + 1] = (bad,)
+            with pytest.raises(ValueError, match="tree node columns must hold positive extents"):
+                rp.Layout.of_columns(1, tuple(leaf))
+            # Only the cut's own pane lacks extent; its leaves are sound.
+            cut = [(rp.Cut.HORIZONTAL, 0, 1), (0.0,) * 3, (0.0, 0.5, 0.0), (1.0,) * 3, (1.0, 0.5, 0.5)]
+            cut[col + 1] = (bad, *cut[col + 1][1:])
+            with pytest.raises(ValueError, match="tree node columns must hold positive extents"):
+                rp.Layout.of_columns(2, tuple(cut))
+
+
+def test_layout_refuses_zero_panes():
+    # Such a layout was written as a document that the reader refuses.
+    with pytest.raises(ValueError, match="at least one pane"):
+        rp.Layout((), None)
+    with pytest.raises(ValueError, match="at least one pane"):
+        rp.Layout.of_columns(0, None, ((),) * 4)
+    with pytest.raises(rp.FileFormatError, match="at least one rect"):
+        rp.parse_layout(b'{"version":2,"rects":[],"totalHalfPerimeter":0.0}')

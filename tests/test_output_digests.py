@@ -100,7 +100,7 @@ def forced_digest(inst, algo):
     # pins the conservative mode on every node, internal ones included.
     layout = _partition(inst, algo)
     report = rp.report_to_json(rp.report(inst, layout))
-    forced = rp.detect_forced(layout.tree, inst.areas, per_edge=False)
+    forced = rp.detect_forced(layout, inst.areas, per_edge=False)
     return {"report": hashlib.sha256(report).hexdigest(), "forced": sorted(forced)}
 
 
