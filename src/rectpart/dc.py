@@ -5,7 +5,9 @@ list to two compound blocks by replacing the two smallest entries with their
 sum until only two remain, cuts the rectangle in proportion to the two block
 totals, and treats both pieces the same way. An explicit stack replaces the
 paper's recursion, so chains of any depth lay out. Every intermediate list is
-kept sorted, so each block hands its members to its piece already in order.
+kept sorted. Each merge is recorded by id in one merge forest, which both
+reduction rules share; once two entries remain, each is expanded once into
+its ascending member positions.
 """
 
 from __future__ import annotations
@@ -31,8 +33,12 @@ APPROX_FACTOR_SQUARISH = 2.0 / math.sqrt(3.0)
 class Block:
     """A group of positions in the sorted working list, merged during reduction.
 
-    ``total`` always equals the block's entry in the working list, which is
-    the sum of its member areas up to float rounding.
+    During a reduction each entry is only an id in the merge forest: an input
+    position, or a merge whose children are the ids it took. ``members`` is
+    read off the forest once per node, when two entries remain, and lists
+    the positions in ascending order. ``total`` always equals the block's
+    entry in the working list, which is the sum of its member areas up to
+    float rounding.
     """
 
     members: tuple[int, ...]
@@ -67,33 +73,56 @@ def _insertion_point(values: list[float], value: float) -> int:
     return len(values) - bisect.bisect_left(values[::-1], value)
 
 
-Step = Callable[[list[float], list[tuple[int, ...]]], tuple[list[float], list[tuple[int, ...]]]]
+#: A reduction step. It takes the working list, the ids of its entries and
+#: the merge forest, appends the ids it merges to the forest and returns the
+#: shortened list with the new merge's id in their place.
+Step = Callable[[list[float], list[int], list[list[int]]], tuple[list[float], list[int]]]
 
 
 def _reduce(
     step: Step, sorted_areas: Sequence[float], stats: ReductionStats | None
 ) -> tuple[Block, Block]:
     # Both rules reduce here; each step must shorten both lists by at least one.
+    # Id i >= 0 is position i of the sorted input, and id ~j is the j-th merge,
+    # whose merged ids are kids[j].
     if len(sorted_areas) < 2:
         raise ValueError("need at least two areas to bipartition")
     if stats is not None:
         stats.pairwise_equivalent += len(sorted_areas) - 2
     values = list(sorted_areas)
-    members: list[tuple[int, ...]] = [(i,) for i in range(len(values))]
+    ids = list(range(len(values)))
+    kids: list[list[int]] = []
     while len(values) > 2:
-        values, members = step(values, members)
+        values, ids = step(values, ids, kids)
         if stats is not None:
             stats.iterations += 1
-    return Block(members[0], values[0]), Block(members[1], values[1])
+    return Block(_members(ids[0], kids), values[0]), Block(_members(ids[1], kids), values[1])
 
 
-def _merge_two_smallest(values: list[float], members: list[tuple[int, ...]]):
+def _members(node: int, kids: list[list[int]]) -> tuple[int, ...]:
+    # The ascending input positions under one id, gathered with a stack:
+    # forests grow as deep as the list is long.
+    if node >= 0:
+        return (node,)
+    leaves: list[int] = []
+    stack = [node]
+    while stack:
+        for i in kids[~stack.pop()]:
+            if i >= 0:
+                leaves.append(i)
+            else:
+                stack.append(i)
+    leaves.sort()
+    return tuple(leaves)
+
+
+def _merge_two_smallest(values: list[float], ids: list[int], kids: list[list[int]]):
     value = values[-2] + values[-1]
-    merged = tuple(sorted(members[-2] + members[-1]))
+    kids.append(ids[-2:])
     rest_v = values[:-2]
-    rest_m = members[:-2]
+    rest_i = ids[:-2]
     pos = _insertion_point(rest_v, value)
-    return rest_v[:pos] + [value] + rest_v[pos:], rest_m[:pos] + [merged] + rest_m[pos:]
+    return rest_v[:pos] + [value] + rest_v[pos:], rest_i[:pos] + [~(len(kids) - 1)] + rest_i[pos:]
 
 
 def bipartition_two_smallest(

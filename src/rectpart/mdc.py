@@ -20,7 +20,7 @@ from .dc import Block, ReductionStats, _insertion_point, _partition, _reduce
 from .geometry import Instance, Layout
 
 
-def _fold_below_mean(values: list[float], members: list[tuple[int, ...]]):
+def _fold_below_mean(values: list[float], ids: list[int], kids: list[list[int]]):
     k = len(values)
     tau = math.fsum(values) / k
     # The head is never below the exact mean, but the rounded mean of an
@@ -29,11 +29,11 @@ def _fold_below_mean(values: list[float], members: list[tuple[int, ...]]):
     p = _insertion_point(values, tau)
     m = p + 1 if 0 < p < k - 1 else (k + 1) // 2
     value = math.fsum(values[m - 1 :])
-    merged = tuple(sorted(chain.from_iterable(members[m - 1 :])))
+    kids.append(ids[m - 1 :])
     pos = _insertion_point(values[: m - 1], value)
     return (
         [*values[:pos], value, *values[pos : m - 1]],
-        [*members[:pos], merged, *members[pos : m - 1]],
+        [*ids[:pos], ~(len(kids) - 1), *ids[pos : m - 1]],
     )
 
 
@@ -55,8 +55,10 @@ def mdc_reduce_step(
         raise ValueError("reduction step needs more than two entries")
     if len(blocks) != len(sorted_areas):
         raise ValueError(f"{len(blocks)} blocks for {len(sorted_areas)} entries")
-    values, members = _fold_below_mean(list(sorted_areas), [b.members for b in blocks])
-    return values, [Block(m, v) for m, v in zip(members, values)]
+    kids: list[list[int]] = []
+    values, ids = _fold_below_mean(list(sorted_areas), list(range(len(blocks))), kids)
+    merged = tuple(sorted(chain.from_iterable(blocks[i].members for i in kids[0])))
+    return values, [Block(blocks[i].members if i >= 0 else merged, v) for i, v in zip(ids, values)]
 
 
 def _reduce_below_mean(sorted_areas: Sequence[float], stats: ReductionStats | None = None):

@@ -1,12 +1,13 @@
 """Shared test helpers: readers of a layout's tree columns, a dense
-validation reference, and reference writers and forced-pane closure that the
-library's must match."""
+validation reference, and reference reducers, writers and forced-pane closure
+that the library's must match."""
 
 from __future__ import annotations
 
 import bisect
 import json
 import math
+from itertools import chain
 from typing import Any, Sequence
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from rectpart import Cut, GenSpec, Layout, Rect, generate
 from rectpart.bounds import EDGE_TOL, QualityReport
+from rectpart.dc import Block, ReductionStats, _insertion_point
 from rectpart.fileio import LAYOUT_VERSION
 from rectpart.geometry import OVERLAP_REL_TOL, REL_TOL, LayoutDiagnostics
 
@@ -184,6 +186,51 @@ def column_layouts(draw, tree=st.booleans()):
             left = draw(st.integers(1, size - 1))
             sizes += [size - left, left]
     return Layout.of_columns(n, (tuple(kind), *coords(len(kind))))
+
+
+def reference_reduce(step, sorted_areas: Sequence[float], stats: ReductionStats | None):
+    """Reference for ``rectpart.dc._reduce``: each step carries every
+    entry's members as a sorted tuple."""
+    # Both rules reduce here; each step must shorten both lists by at least one.
+    if len(sorted_areas) < 2:
+        raise ValueError("need at least two areas to bipartition")
+    if stats is not None:
+        stats.pairwise_equivalent += len(sorted_areas) - 2
+    values = list(sorted_areas)
+    members: list[tuple[int, ...]] = [(i,) for i in range(len(values))]
+    while len(values) > 2:
+        values, members = step(values, members)
+        if stats is not None:
+            stats.iterations += 1
+    return Block(members[0], values[0]), Block(members[1], values[1])
+
+
+def reference_merge_two_smallest(values: list[float], members: list[tuple[int, ...]]):
+    """Reference for ``rectpart.dc._merge_two_smallest`` on member tuples."""
+    value = values[-2] + values[-1]
+    merged = tuple(sorted(members[-2] + members[-1]))
+    rest_v = values[:-2]
+    rest_m = members[:-2]
+    pos = _insertion_point(rest_v, value)
+    return rest_v[:pos] + [value] + rest_v[pos:], rest_m[:pos] + [merged] + rest_m[pos:]
+
+
+def reference_fold_below_mean(values: list[float], members: list[tuple[int, ...]]):
+    """Reference for ``rectpart.mdc._fold_below_mean`` on member tuples."""
+    k = len(values)
+    tau = math.fsum(values) / k
+    # The head is never below the exact mean, but the rounded mean of an
+    # all-equal list can exceed it (three 0.2s average 0.20000000000000004),
+    # so p = 0 counts as a missing minorant.
+    p = _insertion_point(values, tau)
+    m = p + 1 if 0 < p < k - 1 else (k + 1) // 2
+    value = math.fsum(values[m - 1 :])
+    merged = tuple(sorted(chain.from_iterable(members[m - 1 :])))
+    pos = _insertion_point(values[: m - 1], value)
+    return (
+        [*values[:pos], value, *values[pos : m - 1]],
+        [*members[:pos], merged, *members[pos : m - 1]],
+    )
 
 
 def _dumps(doc: Any) -> bytes:
