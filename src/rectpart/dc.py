@@ -1,13 +1,13 @@
 """Divide-and-conquer partitioner that repeatedly merges the two smallest areas.
 
 The driver sorts the target areas once (non-increasing), reduces the working
-list to two compound blocks by replacing the two smallest entries with their
-sum until only two remain, cuts the rectangle in proportion to the two block
-totals, and treats both pieces the same way. An explicit stack replaces the
-paper's recursion, so chains of any depth lay out. Every intermediate list is
-kept sorted. Each merge is recorded by id in one merge forest, which both
-reduction rules share; once two entries remain, each is expanded once into
-its ascending member positions.
+list to two compound blocks, cuts the rectangle in proportion to the two block
+totals, and treats both pieces the same way; an explicit stack replaces the
+paper's recursion, so chains of any depth lay out. A reduction rule only says
+where the working list's tail starts (here: at the last two entries). One fold,
+shared by both rules, replaces the tail with its sum, reinserted where the list
+stays sorted, and records it by id in one merge forest; once two entries
+remain, each is expanded once into its ascending member positions.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ class Block:
     """A group of positions in the sorted working list, merged during reduction.
 
     During a reduction each entry is only an id in the merge forest: an input
-    position, or a merge whose children are the ids it took. ``members`` is
-    read off the forest once per node, when two entries remain, and lists
-    the positions in ascending order. ``total`` always equals the block's
-    entry in the working list, which is the sum of its member areas up to
-    float rounding.
+    position, or a fold of the tail its rule picked, whose children are the
+    tail's ids. ``members`` is read off the forest once per node, when two
+    entries remain, and lists the positions in ascending order. ``total``
+    always equals the block's entry in the working list, which is the sum of
+    its member areas up to float rounding.
     """
 
     members: tuple[int, ...]
@@ -73,18 +73,27 @@ def _insertion_point(values: list[float], value: float) -> int:
     return len(values) - bisect.bisect_left(values[::-1], value)
 
 
-#: A reduction step. It takes the working list, the ids of its entries and
-#: the merge forest, appends the ids it merges to the forest and returns the
-#: shortened list with the new merge's id in their place.
-Step = Callable[[list[float], list[int], list[list[int]]], tuple[list[float], list[int]]]
+def _two_smallest(values: list[float]) -> int:
+    # The pairwise rule: the tail is the last two entries.
+    return len(values) - 2
+
+
+def _fold(values: list[float], ids: list[int], s: int, new_id: int):
+    # The one fold of both rules: the tail from s becomes one entry, holding
+    # its sum and new_id, reinserted where the list stays sorted. fsum of two
+    # floats is their rounded + but raises OverflowError where + gives inf.
+    value = math.fsum(values[s:])
+    rest = values[:s]
+    pos = _insertion_point(rest, value)
+    return rest[:pos] + [value] + rest[pos:], ids[:pos] + [new_id] + ids[pos:s]
 
 
 def _reduce(
-    step: Step, sorted_areas: Sequence[float], stats: ReductionStats | None
+    rule: Callable[[list[float]], int], sorted_areas: Sequence[float], stats: ReductionStats | None
 ) -> tuple[Block, Block]:
-    # Both rules reduce here; each step must shorten both lists by at least one.
-    # Id i >= 0 is position i of the sorted input, and id ~j is the j-th merge,
-    # whose merged ids are kids[j].
+    # Both rules reduce here; a rule's tail must hold at least two entries.
+    # Id i >= 0 is position i of the sorted input, and id ~j is the j-th fold,
+    # whose tail ids are kids[j].
     if len(sorted_areas) < 2:
         raise ValueError("need at least two areas to bipartition")
     if stats is not None:
@@ -93,7 +102,9 @@ def _reduce(
     ids = list(range(len(values)))
     kids: list[list[int]] = []
     while len(values) > 2:
-        values, ids = step(values, ids, kids)
+        s = rule(values)
+        kids.append(ids[s:])
+        values, ids = _fold(values, ids, s, ~(len(kids) - 1))
         if stats is not None:
             stats.iterations += 1
     return Block(_members(ids[0], kids), values[0]), Block(_members(ids[1], kids), values[1])
@@ -116,15 +127,6 @@ def _members(node: int, kids: list[list[int]]) -> tuple[int, ...]:
     return tuple(leaves)
 
 
-def _merge_two_smallest(values: list[float], ids: list[int], kids: list[list[int]]):
-    value = values[-2] + values[-1]
-    kids.append(ids[-2:])
-    rest_v = values[:-2]
-    rest_i = ids[:-2]
-    pos = _insertion_point(rest_v, value)
-    return rest_v[:pos] + [value] + rest_v[pos:], rest_i[:pos] + [~(len(kids) - 1)] + rest_i[pos:]
-
-
 def bipartition_two_smallest(
     sorted_areas: Sequence[float], stats: ReductionStats | None = None
 ) -> tuple[Block, Block]:
@@ -135,7 +137,7 @@ def bipartition_two_smallest(
     Returns the blocks in working-list order, so the first total is >= the
     second. Raises ValueError for lists shorter than two.
     """
-    return _reduce(_merge_two_smallest, sorted_areas, stats)
+    return _reduce(_two_smallest, sorted_areas, stats)
 
 
 Reducer = Callable[[Sequence[float], "ReductionStats | None"], tuple[Block, Block]]

@@ -1,13 +1,13 @@
 """Threshold-bundling variant of the divide-and-conquer partitioner.
 
-Instead of merging exactly two entries per step, each reduction step computes
-the mean of the current working list and folds the whole tail below it into
-one block. When nothing qualifies (no entry lies strictly below the mean, as
-in an all-equal list, whose rounded mean may even exceed every entry; or only
-the last entry does) the lower half of the list is folded instead. Each step
-removes at least one entry and usually many, so the reduction takes far fewer
-iterations than the pairwise rule; the resulting layouts carry no quality
-guarantee.
+It differs from dc only in where a reduction step's tail starts: at the first
+entry strictly below the mean of the working list, not at the last two. When
+nothing qualifies (no entry lies strictly below the mean, as in an all-equal
+list, whose rounded mean may even exceed every entry; or only the last entry
+does) the tail is the lower half of the list; dc's fold does the rest. Each
+step removes at least one entry and usually many, so the reduction takes far
+fewer iterations than the pairwise rule; the resulting layouts carry no
+quality guarantee.
 """
 
 from __future__ import annotations
@@ -16,25 +16,17 @@ import math
 from itertools import chain
 from typing import Sequence
 
-from .dc import Block, ReductionStats, _insertion_point, _partition, _reduce
+from .dc import Block, ReductionStats, _fold, _insertion_point, _partition, _reduce
 from .geometry import Instance, Layout
 
 
-def _fold_below_mean(values: list[float], ids: list[int], kids: list[list[int]]):
+def _below_mean(values: list[float]) -> int:
     k = len(values)
-    tau = math.fsum(values) / k
     # The head is never below the exact mean, but the rounded mean of an
     # all-equal list can exceed it (three 0.2s average 0.20000000000000004),
     # so p = 0 counts as a missing minorant.
-    p = _insertion_point(values, tau)
-    m = p + 1 if 0 < p < k - 1 else (k + 1) // 2
-    value = math.fsum(values[m - 1 :])
-    kids.append(ids[m - 1 :])
-    pos = _insertion_point(values[: m - 1], value)
-    return (
-        [*values[:pos], value, *values[pos : m - 1]],
-        [*ids[:pos], ~(len(kids) - 1), *ids[pos : m - 1]],
-    )
+    p = _insertion_point(values, math.fsum(values) / k)
+    return p if 0 < p < k - 1 else (k - 1) // 2
 
 
 def mdc_reduce_step(
@@ -55,14 +47,15 @@ def mdc_reduce_step(
         raise ValueError("reduction step needs more than two entries")
     if len(blocks) != len(sorted_areas):
         raise ValueError(f"{len(blocks)} blocks for {len(sorted_areas)} entries")
-    kids: list[list[int]] = []
-    values, ids = _fold_below_mean(list(sorted_areas), list(range(len(blocks))), kids)
-    merged = tuple(sorted(chain.from_iterable(blocks[i].members for i in kids[0])))
+    values = list(sorted_areas)
+    s = _below_mean(values)
+    values, ids = _fold(values, list(range(len(values))), s, -1)
+    merged = tuple(sorted(chain.from_iterable(b.members for b in blocks[s:])))
     return values, [Block(blocks[i].members if i >= 0 else merged, v) for i, v in zip(ids, values)]
 
 
 def _reduce_below_mean(sorted_areas: Sequence[float], stats: ReductionStats | None = None):
-    return _reduce(_fold_below_mean, sorted_areas, stats)
+    return _reduce(_below_mean, sorted_areas, stats)
 
 
 def partition_mdc(inst: Instance, stats: ReductionStats | None = None) -> Layout:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from rectpart import Cut, GenSpec, Layout, Rect, generate
 from rectpart.bounds import EDGE_TOL, QualityReport
-from rectpart.dc import Block, ReductionStats, _insertion_point
+from rectpart.dc import Block, ReductionStats
 from rectpart.fileio import LAYOUT_VERSION
 from rectpart.geometry import OVERLAP_REL_TOL, REL_TOL, LayoutDiagnostics
 
@@ -205,8 +205,16 @@ def reference_reduce(step, sorted_areas: Sequence[float], stats: ReductionStats 
     return Block(members[0], values[0]), Block(members[1], values[1])
 
 
+def _insertion_point(values: list[float], value: float) -> int:
+    # Position in a non-increasing list; ties land after the existing equal
+    # entries, so older blocks stay first. The ascending view costs a full
+    # copy but keeps the search itself in C.
+    return len(values) - bisect.bisect_left(values[::-1], value)
+
+
 def reference_merge_two_smallest(values: list[float], members: list[tuple[int, ...]]):
-    """Reference for ``rectpart.dc._merge_two_smallest`` on member tuples."""
+    """Reference for the pairwise rule's fold (``rectpart.dc._two_smallest``
+    and ``_fold``) on member tuples."""
     value = values[-2] + values[-1]
     merged = tuple(sorted(members[-2] + members[-1]))
     rest_v = values[:-2]
@@ -216,7 +224,8 @@ def reference_merge_two_smallest(values: list[float], members: list[tuple[int, .
 
 
 def reference_fold_below_mean(values: list[float], members: list[tuple[int, ...]]):
-    """Reference for ``rectpart.mdc._fold_below_mean`` on member tuples."""
+    """Reference for the mean rule's fold (``rectpart.mdc._below_mean`` and
+    ``rectpart.dc._fold``) on member tuples."""
     k = len(values)
     tau = math.fsum(values) / k
     # The head is never below the exact mean, but the rounded mean of an

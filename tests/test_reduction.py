@@ -3,6 +3,7 @@ merge forest must give the same blocks, totals and counters."""
 
 import sys
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 import rectpart as rp
@@ -24,6 +25,9 @@ def _descending(raw):
 @example([1.0] * 8)
 @example([4.0, 1.0, 1.0, 1.0, 1.0])
 @example([3.0, 3.0, 2.0, 2.0, 1.0, 1.0])
+@example([1.0, 5e-324, 5e-324])
+@example([1.0] + [5e-324] * 5)
+@example([0.5] * 40)
 def test_reducers_match_tuple_reference(values):
     for reduce_to_two, step in (
         (rp.bipartition_two_smallest, reference_merge_two_smallest),
@@ -58,6 +62,20 @@ def test_reduce_step_matches_tuple_reference(case):
     got_values, got_blocks = rp.mdc_reduce_step(values, blocks)
     assert got_values == want_values
     assert got_blocks == [Block(m, v) for m, v in zip(want_members, want_values)]
+
+
+def test_fold_raises_on_an_overflowing_sum():
+    # The fold sums with math.fsum, which raises where + would give inf; no
+    # Instance gets here, as its areas sum to a finite container area.
+    values = [1.7e308, 1e308, 1e308]
+    blocks = [Block((i,), v) for i, v in enumerate(values)]
+    for call in (
+        lambda: rp.bipartition_two_smallest(values),
+        lambda: _reduce_below_mean(values),
+        lambda: rp.mdc_reduce_step(values, blocks),
+    ):
+        with pytest.raises(OverflowError):
+            call()
 
 
 def test_deep_forest_expands_without_recursion():
