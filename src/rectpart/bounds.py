@@ -84,10 +84,9 @@ def detect_forced(layout: Layout, areas: Sequence[float], *, per_edge: bool = Tr
             slot = 2 if w == h else 0
             vert.append((x, y, y + h, i, slot))
             vert.append((x + w, y, y + h, i, slot + 1))
-    horiz.sort(key=itemgetter(0))
-    vert.sort(key=itemgetter(0))
-    lines_h = list(map(itemgetter(0), horiz))
-    lines_v = list(map(itemgetter(0), vert))
+    line = itemgetter(0)
+    horiz.sort(key=line)
+    vert.sort(key=line)
 
     covered = [0] * n_nodes
     forced = [False] * n_nodes
@@ -104,15 +103,15 @@ def detect_forced(layout: Layout, areas: Sequence[float], *, per_edge: bool = Tr
         x, y, w, h = xs[f], ys[f], ws[f], hs[f]
         if left_id[f] >= 0 and a_max[f] >= 0.5 * (w * h) * (1.0 - 1e-12):
             force(right_id[f])
-        own = []  # f's long edges: (candidates, their lines, line, span start, span end)
+        own = []  # f's long edges: (candidates, line, span start, span end)
         if w >= h:
-            own += (horiz, lines_h, y, x, x + w), (horiz, lines_h, y + h, x, x + w)
+            own += (horiz, y, x, x + w), (horiz, y + h, x, x + w)
         if h >= w:
-            own += (vert, lines_v, x, y, y + h), (vert, lines_v, x + w, y, y + h)
+            own += (vert, x, y, y + h), (vert, x + w, y, y + h)
         by_f: dict[int, int] = {}  # the bits that f alone covers, per candidate
-        for cand, lines, c, lo, hi in own:
-            start = bisect.bisect_left(lines, c - tol)
-            stop = bisect.bisect_right(lines, c + tol)
+        for cand, c, lo, hi in own:
+            start = bisect.bisect_left(cand, c - tol, key=line)
+            stop = bisect.bisect_right(cand, c + tol, key=line)
             for _, clo, chi, j, slot in cand[start:stop]:
                 if not forced[j] and clo >= lo - tol and chi <= hi + tol:
                     by_f[j] = by_f.get(j, 0) | 1 << slot

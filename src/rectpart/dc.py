@@ -5,9 +5,10 @@ list to two compound blocks, cuts the rectangle in proportion to the two block
 totals, and treats both pieces the same way; an explicit stack replaces the
 paper's recursion, so chains of any depth lay out. A reduction rule only says
 where the working list's tail starts (here: at the last two entries). One fold,
-shared by both rules, replaces the tail with its sum, reinserted where the list
-stays sorted, and records it by id in one merge forest; once two entries
-remain, each is expanded once into its ascending member positions.
+shared by both rules, replaces the tail with one entry, its sum, reinserted
+where the list stays sorted; the entry's id lists the tail's ids, so ids nest
+into one merge forest. Once two entries remain, each is expanded once into
+its ascending member positions.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ class Block:
     """A group of positions in the sorted working list, merged during reduction.
 
     During a reduction each entry is only an id in the merge forest: an input
-    position, or a fold of the tail its rule picked, whose children are the
-    tail's ids. ``members`` is read off the forest once per node, when two
-    entries remain, and lists the positions in ascending order. ``total``
-    always equals the block's entry in the working list, which is the sum of
-    its member areas up to float rounding.
+    position (an int), or a fold of the tail its rule picked (the list of the
+    tail's ids, so ids nest). ``members`` is read off the forest once per
+    node, when two entries remain, and lists the positions in ascending
+    order. ``total`` always equals the block's entry in the working list,
+    which is the sum of its member areas up to float rounding.
     """
 
     members: tuple[int, ...]
@@ -78,48 +79,45 @@ def _two_smallest(values: list[float]) -> int:
     return len(values) - 2
 
 
-def _fold(values: list[float], ids: list[int], s: int, new_id: int):
-    # The one fold of both rules: the tail from s becomes one entry, holding
-    # its sum and new_id, reinserted where the list stays sorted. fsum of two
-    # floats is their rounded + but raises OverflowError where + gives inf.
+def _fold(values: list[float], ids: list, s: int) -> tuple[list[float], list]:
+    # The one fold of both rules: the tail from s becomes one entry, its sum,
+    # whose id is the list of the tail's ids, reinserted where the list stays
+    # sorted. fsum of two floats is their rounded + but raises on overflow.
     value = math.fsum(values[s:])
     rest = values[:s]
     pos = _insertion_point(rest, value)
-    return rest[:pos] + [value] + rest[pos:], ids[:pos] + [new_id] + ids[pos:s]
+    return rest[:pos] + [value] + rest[pos:], ids[:pos] + [ids[s:]] + ids[pos:s]
 
 
 def _reduce(
     rule: Callable[[list[float]], int], sorted_areas: Sequence[float], stats: ReductionStats | None
 ) -> tuple[Block, Block]:
     # Both rules reduce here; a rule's tail must hold at least two entries.
-    # Id i >= 0 is position i of the sorted input, and id ~j is the j-th fold,
-    # whose tail ids are kids[j].
+    # An int id is a position of the sorted input, and a list id is a fold,
+    # holding its tail's ids: the ids nest into the merge forest.
     if len(sorted_areas) < 2:
         raise ValueError("need at least two areas to bipartition")
     if stats is not None:
         stats.pairwise_equivalent += len(sorted_areas) - 2
     values = list(sorted_areas)
-    ids = list(range(len(values)))
-    kids: list[list[int]] = []
+    ids: list = list(range(len(values)))
     while len(values) > 2:
-        s = rule(values)
-        kids.append(ids[s:])
-        values, ids = _fold(values, ids, s, ~(len(kids) - 1))
+        values, ids = _fold(values, ids, rule(values))
         if stats is not None:
             stats.iterations += 1
-    return Block(_members(ids[0], kids), values[0]), Block(_members(ids[1], kids), values[1])
+    return Block(_members(ids[0]), values[0]), Block(_members(ids[1]), values[1])
 
 
-def _members(node: int, kids: list[list[int]]) -> tuple[int, ...]:
+def _members(node: int | list) -> tuple[int, ...]:
     # The ascending input positions under one id, gathered with a stack:
-    # forests grow as deep as the list is long.
-    if node >= 0:
+    # ids nest as deep as the list is long.
+    if isinstance(node, int):
         return (node,)
     leaves: list[int] = []
     stack = [node]
     while stack:
-        for i in kids[~stack.pop()]:
-            if i >= 0:
+        for i in stack.pop():
+            if isinstance(i, int):
                 leaves.append(i)
             else:
                 stack.append(i)
@@ -149,24 +147,24 @@ Choice = tuple[Cut, float, Sequence[int], Sequence[int]]
 
 def _place(inst: Instance, choose: Callable[[float, float, list[float]], Choice]) -> Layout:
     # The one tree builder. Each job is a pane (x, y, w, h) with its block's
-    # sorted values and area indices; choose(w, h, values) picks the cut and
-    # cut_pane makes the pieces. The second piece is pushed first, so the
-    # nodes come out in preorder, one row (kind, x, y, w, h) each, and no
-    # pane object is built. Layout.of_columns checks every pane once.
-    values, perm = sort_descending(inst.areas)
+    # area indices, largest area first; choose(w, h, values) picks the cut from
+    # their areas and cut_pane makes the pieces. The second piece is pushed
+    # first, so the nodes come out in preorder, one row (kind, x, y, w, h) each,
+    # and no pane object is built. Layout.of_columns checks every pane once.
+    areas = inst.areas
     c = inst.container
     rows: list[tuple] = []
-    stack = [((c.x, c.y, c.w, c.h), values, perm)]
+    stack = [((c.x, c.y, c.w, c.h), sort_descending(areas)[1])]
     while stack:
-        pane, values, indices = stack.pop()
-        if len(values) == 1:
+        pane, indices = stack.pop()
+        if len(indices) == 1:
             rows.append((indices[0], *pane))
             continue
-        cut, a1, m1, m2 = choose(pane[2], pane[3], values)
+        cut, a1, m1, m2 = choose(pane[2], pane[3], [areas[i] for i in indices])
         rows.append((cut, *pane))
         first, second = cut_pane(*pane, cut, a1)
-        stack.append((second, [values[i] for i in m2], [indices[i] for i in m2]))
-        stack.append((first, [values[i] for i in m1], [indices[i] for i in m1]))
+        stack.append((second, [indices[i] for i in m2]))
+        stack.append((first, [indices[i] for i in m1]))
     return Layout.of_columns(inst.n, tuple(zip(*rows)))  # type: ignore[arg-type]
 
 

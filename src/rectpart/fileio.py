@@ -60,10 +60,10 @@ class FileFormatError(ValueError):
 
 
 def _loads(data: bytes | str) -> Any:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        return json.loads(data)
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as e:
+        raise FileFormatError(f"not UTF-8 text at byte {e.start}: {e.reason}") from e
     except json.JSONDecodeError as e:
         raise FileFormatError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
     except RecursionError as e:

@@ -4,10 +4,11 @@ It differs from dc only in where a reduction step's tail starts: at the first
 entry strictly below the mean of the working list, not at the last two. When
 nothing qualifies (no entry lies strictly below the mean, as in an all-equal
 list, whose rounded mean may even exceed every entry; or only the last entry
-does) the tail is the lower half of the list; dc's fold does the rest. Each
-step removes at least one entry and usually many, so the reduction takes far
-fewer iterations than the pairwise rule; the resulting layouts carry no
-quality guarantee.
+does) the tail is the lower half of the list. dc's fold does the rest: the
+folded entry's id is the list of the tail's ids, so the ids nest into the
+merge forest both rules share. Each step removes at least one entry and
+usually many, so the reduction takes far fewer iterations than the pairwise
+rule; the resulting layouts carry no quality guarantee.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ def mdc_reduce_step(
         raise ValueError(f"{len(blocks)} blocks for {len(sorted_areas)} entries")
     values = list(sorted_areas)
     s = _below_mean(values)
-    values, ids = _fold(values, list(range(len(values))), s, -1)
+    values, ids = _fold(values, list(range(len(values))), s)
     merged = tuple(sorted(chain.from_iterable(b.members for b in blocks[s:])))
-    return values, [Block(blocks[i].members if i >= 0 else merged, v) for i, v in zip(ids, values)]
+    members = [merged if isinstance(i, list) else blocks[i].members for i in ids]
+    return values, [Block(m, v) for m, v in zip(members, values)]
 
 
 def _reduce_below_mean(sorted_areas: Sequence[float], stats: ReductionStats | None = None):

@@ -166,6 +166,20 @@ def test_numbers_beyond_a_double_are_bad_input(tmp_path, capsys, instance, layou
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["partition", "eval"])
+def test_bytes_that_are_not_utf8_are_bad_input(halves_file, tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}\n")
+    out = tmp_path / "out.json"
+    if command == "partition":
+        argv = ["partition", "--algo", "dc", "--input", str(bad), "--output", str(out)]
+    else:
+        argv = ["eval", "--instance", str(halves_file), "--layout", str(bad), "--output", str(out)]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == "error: not UTF-8 text at byte 0: invalid start byte\n"
+    assert not out.exists()
+
+
 def test_eval_mismatched_pair_exits_one(halves_file, tmp_path):
     layout_path = tmp_path / "layout.json"
     assert cli_main(

@@ -188,6 +188,13 @@ def test_parse_rejects_deeply_nested_json():
         rp.parse_layout("[" * 100_000)
 
 
+@pytest.mark.parametrize("parse", [rp.parse_instance, rp.parse_layout])
+def test_parse_rejects_bytes_that_are_not_utf8(parse):
+    with pytest.raises(FileFormatError) as info:
+        parse(b"\xff{}")
+    assert str(info.value) == "not UTF-8 text at byte 0: invalid start byte"
+
+
 def test_layout_round_trip_flat():
     inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.5, 0.5])
     layout = rp.partition_dc(inst)
