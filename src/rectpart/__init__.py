@@ -6,7 +6,7 @@ bounds, an exhaustive optimum for small instances, seeded instance
 generators, JSON and SVG output, and a CLI tying them together.
 """
 
-from .bounds import PaneQuality, QualityReport, detect_forced, lower_bound, report
+from .bounds import PaneQuality, QualityReport, detect_forced, report
 from .cli import cli_main
 from .dc import (
     APPROX_FACTOR,
@@ -41,7 +41,7 @@ from .geometry import (
 from .instances import FAMILIES, GenSpec, generate
 from .mdc import mdc_reduce_step, partition_mdc
 from .oracle import OracleSizeError, optimal_guillotine
-from .svg import SvgOptions, render_svg
+from .svg import render_svg
 
 __all__ = [
     "APPROX_FACTOR",
@@ -62,12 +62,10 @@ __all__ = [
     "QualityReport",
     "Rect",
     "ReductionStats",
-    "SvgOptions",
     "bipartition_two_smallest",
     "cli_main",
     "detect_forced",
     "generate",
-    "lower_bound",
     "make_instance",
     "mdc_reduce_step",
     "optimal_guillotine",

@@ -123,16 +123,6 @@ def detect_forced(layout: Layout, areas: Sequence[float], *, per_edge: bool = Tr
     return {i for i in range(n_nodes) if forced[i]}
 
 
-def lower_bound(inst: Instance, layout: Layout) -> tuple[float, float]:
-    """(naive, forced-aware) lower bounds on the total half-perimeter.
-
-    The naive bound is layout-free: sum of 2*sqrt(A_i). The forced-aware
-    bound swaps in width + height for panes the layout's own tree pins.
-    """
-    rep = report(inst, layout)
-    return rep.naive_lower_bound, rep.forced_aware_lower_bound
-
-
 @dataclass(frozen=True)
 class PaneQuality:
     """Per-pane metrics within a :class:`QualityReport`."""

@@ -28,7 +28,7 @@ from .geometry import Rect, validate_layout
 from .instances import GenSpec, generate
 from .mdc import partition_mdc
 from .oracle import OracleSizeError, optimal_guillotine
-from .svg import SvgOptions, render_svg
+from .svg import render_svg
 
 
 class _UsageError(Exception):
@@ -102,7 +102,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         raise InternalInvariantError("produced layout failed validation")
     _write(args.output, serialize_layout(layout, include_tree=bool(args.report)))
     if args.svg:
-        _write(args.svg, render_svg(layout, inst, SvgOptions(labels=args.labels)))
+        _write(args.svg, render_svg(layout, inst, labels=args.labels))
     if args.report:
         _write(args.report, report_to_json(_report_valid(inst, layout)))
     return 0

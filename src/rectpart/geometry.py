@@ -160,15 +160,18 @@ PaneColumns = tuple[tuple, tuple, tuple, tuple]
 
 def child_ids(kind: Sequence) -> tuple[list[int], list[int]]:
     """Left and right child ids of each node of a preorder kind column, -1
-    for a leaf: an area index is a leaf, anything else is internal. Raises
-    ValueError unless the column forms exactly one tree."""
+    for a leaf: an area index (an ``int``) is a leaf, a :class:`Cut` internal.
+    Raises ValueError on any other kind, or unless they form exactly one tree."""
     left = [-1] * len(kind)
     right = [-1] * len(kind)
     stack: list[int] = []
     # Scanning backwards completes both subtrees of a node, left on top,
     # before the node itself is reached.
     for i in range(len(kind) - 1, -1, -1):
-        if not isinstance(kind[i], int):
+        k = kind[i]
+        if type(k) is not int:
+            if not isinstance(k, Cut):
+                raise ValueError(f"tree node {i} has kind {k!r}, neither an area index nor a Cut")
             if len(stack) < 2:
                 raise ValueError(f"internal tree node {i} lacks a child")
             left[i] = stack.pop()
@@ -324,10 +327,10 @@ class Layout:
     form exactly one tree, whose ``children`` it keeps; and its leaves cover
     the area indices exactly once and agree with the rects.
 
-    Two layouts are equal when their columns are: their rects are equal and
-    their trees list equal nodes (kind and pane) in preorder, the value of a
-    tree (see :class:`Internal`); so layouts of any depth compare, hash,
-    print, copy and pickle."""
+    A layout's value is its node columns, whose leaves are its panes, or its
+    pane columns when it has no tree. Equality, hashing and pickling read that
+    alone, so a flat layout never equals a tree layout, and layouts of any
+    depth compare, hash, print, copy and pickle."""
 
     __slots__ = ("_panes", "_nodes", "_children", "_rects", "_tree")
 
@@ -405,16 +408,17 @@ class Layout:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Layout):
             return NotImplemented
-        return (self._panes, self._nodes) == (other._panes, other._nodes)
+        return (self._nodes or self._panes) == (other._nodes or other._panes)
 
     def __hash__(self) -> int:
-        return hash((self._panes, self._nodes))
+        return hash(self._nodes or self._panes)
 
     def __repr__(self) -> str:
         return f"Layout(rects={self.rects!r}, tree={self.tree!r})"
 
     def __reduce__(self):
-        return Layout.of_columns, (len(self._panes[0]), self._nodes, self._panes)
+        panes = None if self._nodes else self._panes
+        return Layout.of_columns, (len(self._panes[0]), self._nodes, panes)
 
     def total_half_perimeter(self) -> float:
         _, _, w, h = self._panes
@@ -436,6 +440,20 @@ class LayoutDiagnostics:
     @property
     def ok(self) -> bool:
         return self.area_ok and self.total_ok and self.overlap_ok and self.containment_ok
+
+    def __str__(self) -> str:
+        """The failed checks on one line, each with its count and at most its
+        first five offenders; the repr keeps the full lists."""
+        failed = [] if self.total_ok else ["the pane areas do not sum to the container's"]
+        for ok, what, found in (
+            (self.area_ok, "panes off their area", self.bad_areas),
+            (self.overlap_ok, "overlapping pairs", self.overlaps),
+            (self.containment_ok, "panes outside the container", self.escapees),
+        ):
+            if not ok:
+                more = ", ..." if len(found) > 5 else ""
+                failed.append(f"{what}: {len(found)} ({', '.join(map(str, found[:5]))}{more})")
+        return "; ".join(failed) or "all checks pass"
 
 
 def _sweep_candidates(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,6 @@ flipped, because SVG grows downward while layouts grow upward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Instance, Layout
@@ -25,22 +24,16 @@ PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class SvgOptions:
-    """Rendering knobs: ``labels`` is one of "none", "index", "full"."""
-
-    labels: str = "index"
-
-
 def _color(index: int) -> str:
     # Knuth multiplicative hash scatters neighboring indices across the palette.
     return PALETTE[(index * 2654435761) % len(PALETTE)]
 
 
-def render_svg(layout: Layout, inst: Instance, options: SvgOptions = SvgOptions()) -> bytes:
-    """One SVG document with one rect per pane, optionally labeled."""
-    if options.labels not in ("none", "index", "full"):
-        raise ValueError(f'labels must be "none", "index" or "full", got {options.labels!r}')
+def render_svg(layout: Layout, inst: Instance, labels: str = "index") -> bytes:
+    """One SVG document with one rect per pane, labeled by ``labels``: "none",
+    "index" or "full" (index and target area)."""
+    if labels not in ("none", "index", "full"):
+        raise ValueError(f'labels must be "none", "index" or "full", got {labels!r}')
     c = inst.container
     ratio = PIXEL_WIDTH * c.h / c.w
     # Where the quotient lies beyond the largest double, take it exactly.
@@ -57,8 +50,8 @@ def render_svg(layout: Layout, inst: Instance, options: SvgOptions = SvgOptions(
             f'fill="{_color(i)}" stroke="black" stroke-width="1" '
             'vector-effect="non-scaling-stroke"/>'
         )
-        if options.labels != "none":
-            text = str(i) if options.labels == "index" else f"{i}: {inst.areas[i]:.4g}"
+        if labels != "none":
+            text = str(i) if labels == "index" else f"{i}: {inst.areas[i]:.4g}"
             cx = x + w / 2.0
             cy = y_flipped + h / 2.0
             size = 0.3 * min(w, h)

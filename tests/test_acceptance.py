@@ -129,7 +129,7 @@ def test_criterion_3_oracle_sandwich():
         )
         layout = rp.partition_dc(inst)
         dc_total = layout.total_half_perimeter()
-        _, forced = rp.lower_bound(inst, layout)
+        forced = rp.report(inst, layout).forced_aware_lower_bound
         optimum, witness = rp.optimal_guillotine(inst)
         checked += 1
         if not (forced - TOL <= optimum <= dc_total + TOL):

@@ -71,7 +71,8 @@ def test_detect_forced_rejects_flat_layouts_and_unknown_leaves():
 def test_lower_bound_halves():
     inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.5, 0.5])
     layout = rp.partition_dc(inst)
-    naive, forced = rp.lower_bound(inst, layout)
+    rep = rp.report(inst, layout)
+    naive, forced = rep.naive_lower_bound, rep.forced_aware_lower_bound
     assert naive == pytest.approx(4 * math.sqrt(0.5), rel=1e-12)
     assert forced == pytest.approx(3.0, rel=1e-12)
 
@@ -79,17 +80,19 @@ def test_lower_bound_halves():
 def test_lower_bound_dominant_halving_reaches_total():
     inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.6, 0.4])
     layout = rp.partition_dc(inst)
-    naive, forced = rp.lower_bound(inst, layout)
+    rep = rp.report(inst, layout)
+    naive, forced = rep.naive_lower_bound, rep.forced_aware_lower_bound
     assert naive == pytest.approx(2.8141, abs=1e-4)
     assert forced == pytest.approx(3.0, rel=1e-12)
-    assert rp.report(inst, layout).approx_ratio == pytest.approx(1.0, rel=1e-12)
+    assert rep.approx_ratio == pytest.approx(1.0, rel=1e-12)
 
 
 def test_lower_bound_single_area_is_container():
     container = rp.Rect(0, 0, 4, 1)
     inst = rp.make_instance(container, [4.0])
     layout = rp.partition_dc(inst)
-    naive, forced = rp.lower_bound(inst, layout)
+    rep = rp.report(inst, layout)
+    naive, forced = rep.naive_lower_bound, rep.forced_aware_lower_bound
     assert forced == container.w + container.h == 5.0
     assert naive == pytest.approx(4.0, rel=1e-12)
 
@@ -98,14 +101,15 @@ def test_lower_bound_flat_single_pane_layout():
     container = rp.Rect(0, 0, 4, 1)
     inst = rp.make_instance(container, [4.0])
     flat = rp.Layout((container,), None)
-    _, forced = rp.lower_bound(inst, flat)
+    forced = rp.report(inst, flat).forced_aware_lower_bound
     assert forced == 5.0
 
 
 def test_flat_multi_pane_layout_falls_back_to_naive():
     inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.5, 0.5])
     flat = rp.Layout((rp.Rect(0, 0.5, 1, 0.5), rp.Rect(0, 0, 1, 0.5)), None)
-    naive, forced = rp.lower_bound(inst, flat)
+    rep = rp.report(inst, flat)
+    naive, forced = rep.naive_lower_bound, rep.forced_aware_lower_bound
     assert forced == naive
 
 

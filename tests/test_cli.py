@@ -193,6 +193,75 @@ def test_eval_mismatched_pair_exits_one(halves_file, tmp_path):
     ) == 1
 
 
+def test_eval_refusal_is_one_short_line(tmp_path, capsys):
+    # The refusal names each failed check's count, not every offender (17,059
+    # characters here when it embedded the diagnostics' repr).
+    paths = [tmp_path / "u1.json", tmp_path / "u2.json"]
+    for seed, path in enumerate(paths, 1):
+        assert cli_main(
+            ["gen", "--n", "3000", "--family", "uniform", "--seed", str(seed),
+             "--width", "1", "--height", "1", "--output", str(path)]
+        ) == 0
+    layout = tmp_path / "layout.json"
+    assert cli_main(
+        ["partition", "--algo", "mdc", "--input", str(paths[0]), "--output", str(layout)]
+    ) == 0
+    out = tmp_path / "report.json"
+    assert cli_main(
+        ["eval", "--instance", str(paths[1]), "--layout", str(layout), "--output", str(out)]
+    ) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and len(err[0]) < 500, err
+    assert err[0].startswith("error: layout does not satisfy the instance: panes off their area: ")
+    assert not out.exists()
+    # Overlaps are listed the same way; the repr keeps every offender.
+    pairs = tuple((i, i + 1) for i in range(10_000))
+    diag = rp.LayoutDiagnostics(True, (), True, False, pairs, True, ())
+    assert str(diag) == "overlapping pairs: 10000 ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), ...)"
+    assert str(pairs) in repr(diag)
+
+
+def _generated_families():
+    for n in (50, 200, 800, 2000):
+        for seed in (1, 2, 3):
+            yield ["--family", "uniform"], n, seed
+            for q in ("0.3", "0.5", "0.7", "0.9"):
+                yield ["--family", "geo", "--q", q], n, seed
+
+
+def test_exit_codes_hold_on_generated_families(tmp_path, capsys):
+    # The generator's own families reach instances that no partitioner lays
+    # out (ROADMAP item 4). Whatever the outcome, it keeps the documented
+    # contract: a valid layout and exit 0, or one line, exit 3 and no file.
+    inst_path = tmp_path / "inst.json"
+    for family, n, seed in _generated_families():
+        case = f"{' '.join(family)} --n {n} --seed {seed}"
+        inst_path.unlink(missing_ok=True)
+        code = cli_main(
+            ["gen", "--n", str(n), *family, "--seed", str(seed),
+             "--width", "1", "--height", "1", "--output", str(inst_path)]
+        )
+        err = capsys.readouterr().err.splitlines()
+        if code != 0:
+            assert code == 1 and len(err) == 1 and not inst_path.exists(), case
+            continue
+        inst = rp.parse_instance(inst_path.read_bytes())
+        # dc is about cubic on chains (ROADMAP item 2), so it runs the small n only.
+        for algo in ("dc", "mdc") if n <= 200 else ("mdc",):
+            out = tmp_path / f"{algo}.json"
+            out.unlink(missing_ok=True)
+            code = cli_main(
+                ["partition", "--algo", algo, "--input", str(inst_path), "--output", str(out)]
+            )
+            err = capsys.readouterr().err.splitlines()
+            if code == 0:
+                assert err == [], case
+                assert rp.validate_layout(inst, rp.parse_layout(out.read_bytes())).ok, case
+            else:
+                assert code == 3 and not out.exists(), (algo, case, code)
+                assert len(err) == 1 and err[0].startswith("internal error: "), (algo, case)
+
+
 def test_gen_partition_eval_pipeline(tmp_path):
     inst = tmp_path / "inst.json"
     assert cli_main(

@@ -5,6 +5,7 @@ import copy
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +120,43 @@ def test_layout_checks_coverage_on_the_kind_column():
     with pytest.raises(ValueError, match="appears in two leaves"):
         rp.Layout.of_columns(2, nodes, panes)
     assert geometry.child_ids(kind) == ([1, -1, -1], [2, -1, -1])
+
+
+@pytest.mark.parametrize(
+    "kind, bad",
+    [
+        (("vertical", 0, 1), 0),  # a cut's name, which the layout writer cannot write
+        ((None, 0, 1), 0),
+        ((rp.Cut.HORIZONTAL, np.int64(0), 1), 1),
+        ((rp.Cut.HORIZONTAL, 0, True), 2),  # True == 1, but no area index
+    ],
+    ids=["cut-name", "none", "numpy-int", "bool"],
+)
+def test_layout_refuses_kinds_that_are_neither_index_nor_cut(kind, bad):
+    # Each was accepted, or refused as a cut without children; the first then
+    # failed in serialize_layout with a KeyError.
+    nodes = (kind, (0.0, 0.0, 0.5), (0.0, 0.0, 0.0), (1.0, 0.5, 0.5), (1.0, 1.0, 1.0))
+    message = f"tree node {bad} has kind .*, neither an area index nor a Cut"
+    with pytest.raises(ValueError, match=message):
+        rp.Layout.of_columns(2, nodes)
+    with pytest.raises(ValueError, match=message):
+        geometry.child_ids(kind)
+
+
+def test_tree_layout_value_is_its_node_columns():
+    inst = rp.generate(rp.GenSpec(n=30, family="uniform", seed=4, container=rp.Rect(0, 0, 2, 1)))
+    layout = rp.partition_mdc(inst)
+    build, args = layout.__reduce__()
+    assert build == rp.Layout.of_columns and args == (30, layout.nodes, None)
+    # The form pickled before, which carried the panes beside the nodes.
+    old = build(30, layout.nodes, layout.panes)
+    assert old == layout and hash(old) == hash(layout)
+    again = pickle.loads(pickle.dumps(layout, pickle.HIGHEST_PROTOCOL))
+    assert again == layout and hash(again) == hash(layout)
+    flat = rp.Layout.of_columns(30, None, layout.panes)
+    assert flat.__reduce__()[1] == (30, None, layout.panes)
+    assert flat != layout and layout != flat
+    assert pickle.loads(pickle.dumps(flat)) == flat
 
 
 def test_layout_refuses_columns_that_form_no_single_tree():

@@ -61,7 +61,8 @@ def _check_sandwich(inst):
     value, witness = rp.optimal_guillotine(inst)
     layout = rp.partition_dc(inst)
     dc_total = layout.total_half_perimeter()
-    naive, forced = rp.lower_bound(inst, layout)
+    rep = rp.report(inst, layout)
+    naive, forced = rep.naive_lower_bound, rep.forced_aware_lower_bound
     assert value >= forced - 1e-9
     assert value >= naive - 1e-9
     assert value <= dc_total + 1e-9

@@ -36,7 +36,7 @@ def test_halves_render_index_zero_on_top():
 def test_output_is_well_formed_for_random_layout():
     spec = rp.GenSpec(n=30, family="geometric", seed=8, container=rp.Rect(0, 0, 2, 1), q=0.8)
     inst = rp.generate(spec)
-    svg = rp.render_svg(rp.partition_dc(inst), inst, rp.SvgOptions(labels="full"))
+    svg = rp.render_svg(rp.partition_dc(inst), inst, labels="full")
     ET.fromstring(svg)  # raises on malformed XML
 
 
@@ -53,14 +53,14 @@ def test_rect_areas_match_layout():
 def test_label_modes():
     inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.5, 0.5])
     layout = rp.partition_dc(inst)
-    plain = rp.render_svg(layout, inst, rp.SvgOptions(labels="none"))
+    plain = rp.render_svg(layout, inst, labels="none")
     assert b"<text" not in plain
-    indexed = rp.render_svg(layout, inst, rp.SvgOptions(labels="index"))
+    indexed = rp.render_svg(layout, inst, labels="index")
     assert b">0</text>" in indexed
-    full = rp.render_svg(layout, inst, rp.SvgOptions(labels="full"))
+    full = rp.render_svg(layout, inst, labels="full")
     assert b"0: 0.5" in full
     with pytest.raises(ValueError):
-        rp.render_svg(layout, inst, rp.SvgOptions(labels="fancy"))
+        rp.render_svg(layout, inst, labels="fancy")
 
 
 def test_deterministic_bytes():
