@@ -1,9 +1,10 @@
 """Partition a rectangle into panes of prescribed areas.
 
 Two guillotine partitioners (a pairwise-merge divide and conquer scheme and a
-faster threshold-bundling variant), quality certification against two lower
-bounds, an exhaustive optimum for small instances, seeded instance
-generators, JSON and SVG output, and a CLI tying them together.
+faster threshold-bundling variant), quality reports against a valid naive
+lower bound and a forced-aware value that is not a bound on every input
+(ROADMAP item 12), an exhaustive optimum for small instances, seeded
+instance generators, JSON and SVG output, and a CLI tying them together.
 """
 
 from .bounds import PaneQuality, QualityReport, detect_forced, report

@@ -1,10 +1,10 @@
-"""Lower bounds and quality reports for produced layouts.
+"""A lower bound, a forced-aware value and quality reports for produced layouts.
 
 Any pane of area A has half-perimeter at least 2*sqrt(A), attained by a
-square. A tighter per-pane bound exists for panes whose shape is pinned by
-the tiling itself: for such "forced" panes the realized width + height is a
-valid bound, because no rearrangement can shorten their short edge. The
-forced set is the least fixed point of three rules:
+square, so the naive bound, the sum of 2*sqrt(A), is valid for every
+tiling. The forced-aware value takes the realized width + height of the
+panes whose shape this layout's own cuts pin ("forced" panes). The forced
+set is the least fixed point of three rules:
 
 * the container itself is forced;
 * when a forced rectangle is cut and a single target area claims at least
@@ -24,9 +24,11 @@ the default mode ORs the bits it covers into each candidate's mask, while
 ``per_edge=False`` tests them alone. The rules are monotone, so the order in
 which nodes are forced does not change the set.
 
-The forced-aware bound sums width + height over forced terminal panes and
-2*sqrt(A) over the rest; it is never smaller than the naive all-square bound
-and never exceeds the true guillotine optimum.
+The forced-aware value sums width + height over forced terminal panes and
+2*sqrt(A) over the rest; it is never smaller than the naive bound. It is not
+a bound on every input: the rules argue about this layout's cuts, not about
+every tiling, and on some instances it exceeds the guillotine optimum, in
+both modes (ROADMAP item 12).
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ class PaneQuality:
 
 @dataclass(frozen=True)
 class QualityReport:
-    """Achieved cost, both lower bounds, and per-pane shape statistics."""
+    """Achieved cost, the naive bound, the forced-aware value, and per-pane shape statistics."""
 
     total_half_perimeter: float
     naive_lower_bound: float
@@ -146,7 +148,7 @@ class QualityReport:
 
 
 def report(inst: Instance, layout: Layout) -> QualityReport:
-    """Full quality report; ``approx_ratio`` is total over the forced-aware bound."""
+    """Full quality report; ``approx_ratio`` is total over the forced-aware value."""
     diag = validate_layout(inst, layout)
     if not diag.ok:
         raise ValueError(f"layout does not satisfy the instance: {diag}")

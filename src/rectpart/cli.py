@@ -98,8 +98,9 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     except ValueError as e:
         # The instance is already parsed and checked: this failure is ours.
         raise InternalInvariantError(f"{args.algo} failed on a valid instance: {e}") from e
-    if not validate_layout(inst, layout).ok:
-        raise InternalInvariantError("produced layout failed validation")
+    diag = validate_layout(inst, layout)
+    if not diag.ok:
+        raise InternalInvariantError(f"produced layout failed validation: {diag}")
     _write(args.output, serialize_layout(layout, include_tree=bool(args.report)))
     if args.svg:
         _write(args.svg, render_svg(layout, inst, labels=args.labels))
@@ -133,8 +134,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise _UsageError("--max-n must be >= 1")
     inst = parse_instance(Path(args.input).read_bytes())
     _, layout = optimal_guillotine(inst, max_n=args.max_n)
-    if not validate_layout(inst, layout).ok:
-        raise InternalInvariantError("oracle witness failed validation")
+    diag = validate_layout(inst, layout)
+    if not diag.ok:
+        raise InternalInvariantError(f"oracle witness failed validation: {diag}")
     _write(args.output, serialize_layout(layout, include_tree=True))
     return 0
 

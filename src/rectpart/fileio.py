@@ -70,7 +70,7 @@ def _loads(data: bytes | str) -> Any:
         raise FileFormatError("JSON document nests too deeply") from e
 
 
-def _number(obj: Any, what: str) -> float:
+def _positive(obj: Any, what: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise FileFormatError(f"{what} must be a number, got {obj!r}")
     try:
@@ -79,11 +79,6 @@ def _number(obj: Any, what: str) -> float:
         raise FileFormatError(f"{what} is an integer beyond the range of a double") from None
     if not math.isfinite(v):
         raise FileFormatError(f"{what} must be finite, got {obj!r}")
-    return v
-
-
-def _positive(obj: Any, what: str) -> float:
-    v = _number(obj, what)
     if v <= 0:
         raise FileFormatError(f"{what} must be positive, got {obj!r}")
     return v
@@ -120,15 +115,13 @@ def serialize_instance(inst: Instance) -> bytes:
 
 
 def _pane_from_obj(obj: Any, what: str) -> Pane:
-    # Rect's checks: finite numbers, positive extents.
+    # Only what JSON can get wrong; the Layout built from the pane judges the numbers.
     if not isinstance(obj, dict):
         raise FileFormatError(f"{what} must be an object")
-    return (
-        _number(obj.get("x"), f"{what}.x"),
-        _number(obj.get("y"), f"{what}.y"),
-        _positive(obj.get("width"), f"{what}.width"),
-        _positive(obj.get("height"), f"{what}.height"),
-    )
+    for key in ("x", "y", "width", "height"):
+        if type(obj.get(key)) not in (int, float):
+            raise FileFormatError(f"{what}.{key} must be a number, got {obj.get(key)!r}")
+    return obj["x"], obj["y"], obj["width"], obj["height"]
 
 
 #: A pane's JSON members and closing brace, written once per tree node.
@@ -196,15 +189,12 @@ def _preorder_v1(root: Any) -> list:
 
 
 def _node_from_obj(obj: Any, i: int) -> tuple:
-    """One row of the tree's columns: kind, x, y, w, h."""
+    """One row of the tree's columns: kind (a leaf's index as written), x, y, w, h."""
     if not isinstance(obj, dict):
         raise FileFormatError(f"tree node {i} must be an object")
     pane = _pane_from_obj(obj.get("rect"), f"tree node {i} rect")
     if "index" in obj:
-        idx = obj["index"]
-        if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
-            raise FileFormatError(f"leaf index must be a non-negative integer, got {idx!r}")
-        return (idx, *pane)
+        return (obj["index"], *pane)
     cut = obj.get("cut")
     if cut not in (Cut.VERTICAL.value, Cut.HORIZONTAL.value):
         raise FileFormatError(f'internal tree nodes need "cut" of "vertical" or "horizontal", got {cut!r}')
@@ -259,19 +249,20 @@ def parse_layout(data: bytes | str) -> Layout:
             raise FileFormatError(f"rect index {idx} appears twice")
         slots[idx] = _pane_from_obj(e, f"rects[{idx}]")
     panes: PaneColumns = tuple(zip(*slots))  # type: ignore[assignment]
-    if "tree" not in doc:
-        return Layout.of_columns(n, None, panes)
-    objs = doc["tree"]
-    if version == 1:
-        objs = _preorder_v1(objs)
-    elif not isinstance(objs, list):
-        raise FileFormatError('"tree" must be a list of nodes in preorder')
-    rows = [_node_from_obj(obj, i) for i, obj in enumerate(objs)]
+    nodes = None
+    if "tree" in doc:
+        objs = doc["tree"]
+        if version == 1:
+            objs = _preorder_v1(objs)
+        elif not isinstance(objs, list):
+            raise FileFormatError('"tree" must be a list of nodes in preorder')
+        nodes = tuple(zip(*[_node_from_obj(obj, i) for i, obj in enumerate(objs)]))
     try:
-        layout = Layout.of_columns(n, tuple(zip(*rows)), panes)  # type: ignore[arg-type]
+        layout = Layout.of_columns(n, nodes, panes)  # type: ignore[arg-type]
     except ValueError as e:
         raise FileFormatError(str(e)) from e
-    _check_cuts(layout)
+    if nodes is not None:
+        _check_cuts(layout)
     return layout
 
 

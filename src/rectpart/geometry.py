@@ -306,9 +306,11 @@ def _float_columns(cols: Sequence[Sequence], length: int, what: str) -> tuple[tu
     except OverflowError:
         raise ValueError(f"{what} hold a number beyond the largest double") from None
     if not all(map(math.isfinite, chain.from_iterable(floats))):
-        raise ValueError(f"{what} must hold finite numbers")
+        row = next(i for i, p in enumerate(zip(*floats)) if not all(map(math.isfinite, p)))
+        raise ValueError(f"{what} must hold finite numbers; row {row} does not")
     if not min(chain(floats[2], floats[3]), default=1.0) > 0.0:
-        raise ValueError(f"{what} must hold positive extents")
+        row = next(i for i, wh in enumerate(zip(floats[2], floats[3])) if not min(wh) > 0.0)
+        raise ValueError(f"{what} must hold positive extents; row {row} does not")
     return floats
 
 

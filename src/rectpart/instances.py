@@ -45,8 +45,8 @@ def generate(spec: GenSpec, *, jitter: bool = True) -> Instance:
     uniform: independent draws from (0, 1].
     geometric: q**i decay, each term multiplied by independent jitter from
     [0.9, 1.1]. ``jitter=False`` turns the noise off so analytic cases stay
-    exact. Very small q with large n underflows to zero areas and is
-    rejected by Instance validation.
+    exact. Small q with large n, or a tiny container, can underflow areas
+    to 0.0; ValueError then names the first one.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     if spec.family == "uniform":
@@ -57,4 +57,10 @@ def generate(spec: GenSpec, *, jitter: bool = True) -> Instance:
             raw = raw * rng.uniform(0.9, 1.1, spec.n)
     total = float(raw.sum())
     area = spec.container.area
-    return Instance(spec.container, tuple(float(v) / total * area for v in raw))
+    areas = tuple(float(v) / total * area for v in raw)
+    if 0.0 in areas:
+        raise ValueError(
+            f"area #{areas.index(0.0)} underflows to 0.0 "
+            f"({spec.family} family, q={spec.q}, n={spec.n})"
+        )
+    return Instance(spec.container, areas)

@@ -315,7 +315,28 @@ def test_partition_checks_its_layout_before_writing(halves_file, tmp_path, monke
     argv = ["partition", "--algo", "dc", "--input", str(halves_file), "--output", str(out)]
     assert cli_main(argv) == 3
     err = capsys.readouterr().err.splitlines()
-    assert err == ["internal error: InternalInvariantError: produced layout failed validation"]
+    assert err == [
+        "internal error: InternalInvariantError: produced layout failed validation: "
+        "panes off their area: 1 (0)"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["partition", "oracle"])
+def test_failed_validation_names_its_checks(halves_file, tmp_path, monkeypatch, capsys, command):
+    # A valid layout of another instance: both of the halves' panes are off their area.
+    other = rp.partition_dc(rp.make_instance(rp.Rect(0, 0, 1, 1), [0.75, 0.25]))
+    monkeypatch.setattr(cli, "partition_dc", lambda inst: other)
+    monkeypatch.setattr(cli, "optimal_guillotine", lambda inst, max_n: (3.0, other))
+    out = tmp_path / "layout.json"
+    if command == "oracle":
+        argv = ["oracle", "--input", str(halves_file), "--output", str(out)]
+    else:
+        argv = ["partition", "--algo", "dc", "--input", str(halves_file), "--output", str(out)]
+    assert cli_main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("internal error: InternalInvariantError: ")
+    assert "failed validation: panes off their area: 2 (0, 1)" in err[0]
     assert not out.exists()
 
 

@@ -119,9 +119,9 @@ MALFORMED_TREES = {
     "string-version": ("2", [_ROOT, _LEAF0, _LEAF1], "unknown layout format version '2'"),
     "rect-not-object": (2, [_ROOT, {"index": 0, "rect": 5}, _LEAF1], "tree node 1 rect must be an object"),
     "negative-leaf": (2, [_ROOT, {**_LEAF0, "index": -1}, _LEAF1],
-                      "leaf index must be a non-negative integer, got -1"),
+                      "leaf index -1 out of range for n=2"),
     "bool-leaf": (2, [_ROOT, {**_LEAF0, "index": True}, _LEAF1],
-                  "leaf index must be a non-negative integer, got True"),
+                  "tree node 1 has kind True, neither an area index nor a Cut"),
     "diagonal-cut": (2, [{**_ROOT, "cut": "diagonal"}, _LEAF0, _LEAF1],
                      'internal tree nodes need "cut" of "vertical" or "horizontal", got \'diagonal\''),
 }
@@ -181,6 +181,41 @@ def test_parse_layout_rejects_malformed_rects(doc, error):
     with pytest.raises(FileFormatError) as info:
         rp.parse_layout(json.dumps(doc))
     assert str(info.value) == error
+
+
+#: JSON texts that no pane field or leaf index may hold, for n=2.
+BAD_WIDTHS = ["NaN", "Infinity", "-1", "0", "-0.0"]
+BAD_INDICES = ["-1", "true", "1.5", '"0"', "null", "2"]
+#: Where each text goes: a pane field, then a leaf index. In the tree, the
+#: pane is the root's, which has no leaf entry to disagree with.
+PLACES = {"rects": (("rects", 0), ("rects", 0)), "tree": (("tree", 0, "rect"), ("tree", 1))}
+
+
+@pytest.mark.parametrize("place", list(PLACES))
+@pytest.mark.parametrize(
+    "field, text",
+    [("width", t) for t in BAD_WIDTHS] + [("x", "9" * 400)] + [("index", t) for t in BAD_INDICES],
+    ids=[f"width={t}" for t in BAD_WIDTHS] + ["x=400-digits"] + [f"index={t}" for t in BAD_INDICES],
+)
+def test_reader_refuses_bad_numbers_and_leaf_indices(tmp_path, capsys, place, field, text):
+    inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.5, 0.5])
+    doc = json.loads(rp.serialize_layout(rp.partition_dc(inst), include_tree=True))
+    target = doc
+    for key in PLACES[place][field == "index"]:
+        target = target[key]
+    target[field] = "@BAD@"
+    data = json.dumps(doc).replace('"@BAD@"', text)
+    with pytest.raises(FileFormatError):
+        rp.parse_layout(data)
+    (tmp_path / "inst.json").write_bytes(rp.serialize_instance(inst))
+    (tmp_path / "layout.json").write_text(data)
+    out = tmp_path / "eval.json"
+    argv = ["eval", "--instance", str(tmp_path / "inst.json"),
+            "--layout", str(tmp_path / "layout.json"), "--output", str(out)]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
 
 
 def test_parse_rejects_deeply_nested_json():

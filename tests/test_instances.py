@@ -63,3 +63,23 @@ def test_areas_are_positive_and_fill_container():
     inst = rp.generate(spec)
     assert all(a > 0 for a in inst.areas)
     assert len(inst.areas) == 100
+
+
+@pytest.mark.parametrize("q, n, first", [(0.3, 800, 618), (0.5, 2000, 1074)])
+def test_generator_names_its_underflow(q, n, first):
+    # q**(first + 1) is already 0.0, so the raw draw underflows; one area
+    # fewer still generates.
+    spec = dict(family="geometric", seed=1, container=rp.Rect(0, 0, 1, 1), q=q)
+    want = rf"^area #{first} underflows to 0\.0 \(geometric family, q={q}, n={n}\)$"
+    with pytest.raises(ValueError, match=want):
+        rp.generate(rp.GenSpec(n=n, **spec))
+    assert all(a > 0 for a in rp.generate(rp.GenSpec(n=first, **spec)).areas)
+
+
+def test_generator_names_an_underflow_from_scaling():
+    # Every raw draw is a normal double; scaled into a container of area
+    # 1e-308 the later ones underflow.
+    container = rp.Rect(0, 0, 1e-154, 1e-154)
+    spec = rp.GenSpec(n=60, family="geometric", seed=1, container=container, q=0.5)
+    with pytest.raises(ValueError, match=r"^area #51 underflows to 0\.0 \(geometric family"):
+        rp.generate(spec)

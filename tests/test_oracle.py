@@ -89,6 +89,26 @@ def test_oracle_sandwich_at_n7_to_8(family, n, width, seed):
     _check_sandwich(rp.generate(spec))
 
 
+#: ROADMAP item 12's counterexample: dc forces all 8 panes, so its
+#: forced-aware value is its own total, 4.63698, while the guillotine optimum
+#: is 4.57681.
+ITEM_12 = rp.GenSpec(n=8, family="geometric", q=0.5, seed=4, container=rp.Rect(0, 0, 1, 1))
+
+
+def test_naive_bound_holds_on_the_item_12_instance():
+    inst = rp.generate(ITEM_12)
+    value, witness = rp.optimal_guillotine(inst)
+    assert rp.validate_layout(inst, witness).ok
+    assert rp.report(inst, rp.partition_dc(inst)).naive_lower_bound <= value
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: the forced-aware value is not a bound")
+def test_forced_aware_value_stays_below_the_optimum_on_the_item_12_instance():
+    inst = rp.generate(ITEM_12)
+    value, _ = rp.optimal_guillotine(inst)
+    assert rp.report(inst, rp.partition_dc(inst)).forced_aware_lower_bound <= value
+
+
 def _plain_optimum(vals, w, h):
     # Every guillotine tiling of the pane, each cut made by the placer's cut
     # rule: no memo and no pruning.

@@ -28,6 +28,12 @@ def _descending(raw):
 @example([1.0, 5e-324, 5e-324])
 @example([1.0] + [5e-324] * 5)
 @example([0.5] * 40)
+# The folded sum ties entries in the head, so it must land after them: a
+# search that puts ties first gives other blocks on each of these.
+@example([2.0, 1.0, 1.0])
+@example([3.0, 3.0, 1.0, 1.0, 1.0])
+@example([0.4, 0.2, 0.2])
+@example([0.5, 0.2, 0.2, 0.1])  # 0.2 + 0.1 rounds up, and then ties 0.5
 def test_reducers_match_tuple_reference(values):
     for reduce_to_two, step in (
         (rp.bipartition_two_smallest, reference_merge_two_smallest),
