@@ -37,7 +37,7 @@ import json
 import math
 from array import array
 from operator import attrgetter
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 from .bounds import QualityReport
 from .geometry import (
@@ -68,40 +68,39 @@ def _loads(data: bytes | str) -> Any:
         raise FileFormatError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
     except RecursionError as e:
         raise FileFormatError("JSON document nests too deeply") from e
+    except ValueError as e:  # such as an integer literal longer than Python converts
+        raise FileFormatError(f"invalid JSON: {e}") from e
 
 
-def _positive(obj: Any, what: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise FileFormatError(f"{what} must be a number, got {obj!r}")
-    try:
-        v = float(obj)
-    except OverflowError:
-        raise FileFormatError(f"{what} is an integer beyond the range of a double") from None
-    if not math.isfinite(v):
-        raise FileFormatError(f"{what} must be finite, got {obj!r}")
-    if v <= 0:
-        raise FileFormatError(f"{what} must be positive, got {obj!r}")
-    return v
+def _numbers(values: Sequence, names: Iterable[str]) -> Any:
+    """``values``, refusing the first that is not a JSON number (an int or a
+    float, not a bool) by its entry in ``names``. Their holders judge them."""
+    if not {*map(type, values)} <= {int, float}:
+        name, v = next((name, v) for name, v in zip(names, values) if type(v) not in (int, float))
+        raise FileFormatError(f"{name} must be a number, got {v!r}")
+    return values
 
 
 def parse_instance(data: bytes | str, *, normalize: bool = False) -> Instance:
-    """Decode an instance document; ``normalize`` rescales sloppy area sums."""
+    """Decode an instance document; ``normalize`` rescales sloppy area sums.
+    :class:`Rect` judges the container's numbers and :class:`Instance` the areas."""
     doc = _loads(data)
     if not isinstance(doc, dict) or "container" not in doc or "areas" not in doc:
         raise FileFormatError('instance document needs "container" and "areas" keys')
-    cont = doc["container"]
+    cont, areas = doc["container"], doc["areas"]
     if not isinstance(cont, dict):
         raise FileFormatError('"container" must be an object with width and height')
-    w = _positive(cont.get("width"), "container width")
-    h = _positive(cont.get("height"), "container height")
-    areas = doc["areas"]
-    if not isinstance(areas, list) or not areas:
-        raise FileFormatError("at least one area is required (n >= 1)")
-    vals = [_positive(a, f"areas[{i}]") for i, a in enumerate(areas)]
+    if not isinstance(areas, list):
+        raise FileFormatError('"areas" must be a list')
+    w, h = _numbers((cont.get("width"), cont.get("height")), ("container width", "container height"))
+    _numbers(areas, map("areas[{}]".format, range(len(areas))))
+    where = "container: "
     try:
-        return make_instance(Rect(0.0, 0.0, w, h), vals, normalize=normalize)
+        container = Rect(0.0, 0.0, w, h)
+        where = ""
+        return make_instance(container, areas, normalize=normalize)
     except ValueError as e:
-        raise FileFormatError(str(e)) from e
+        raise FileFormatError(where + str(e)) from e
 
 
 def serialize_instance(inst: Instance) -> bytes:
@@ -118,10 +117,8 @@ def _pane_from_obj(obj: Any, what: str) -> Pane:
     # Only what JSON can get wrong; the Layout built from the pane judges the numbers.
     if not isinstance(obj, dict):
         raise FileFormatError(f"{what} must be an object")
-    for key in ("x", "y", "width", "height"):
-        if type(obj.get(key)) not in (int, float):
-            raise FileFormatError(f"{what}.{key} must be a number, got {obj.get(key)!r}")
-    return obj["x"], obj["y"], obj["width"], obj["height"]
+    pane = obj.get("x"), obj.get("y"), obj.get("width"), obj.get("height")
+    return _numbers(pane, map(f"{what}.{{}}".format, ("x", "y", "width", "height")))
 
 
 #: A pane's JSON members and closing brace, written once per tree node.

@@ -217,18 +217,31 @@ def tree_of_columns(
     return built[0]
 
 
-def _area_floats(areas) -> tuple[float, ...]:
-    """``areas`` as floats; ValueError when one lies beyond the largest double."""
+def _floats(cols: Sequence[Sequence], beyond: str) -> tuple[tuple[float, ...], ...]:
+    """Equal columns as tuples of floats; ValueError, ``beyond`` formatted with
+    the row, at the first row that holds a number beyond the largest double."""
     try:
-        return tuple(float(a) for a in areas)
+        return tuple(tuple(map(float, col)) for col in cols)
     except OverflowError:
-        raise ValueError("an area lies beyond the largest double") from None
+        for row, values in enumerate(zip(*cols)):
+            try:
+                tuple(map(float, values))
+            except OverflowError:
+                raise ValueError(beyond.format(row)) from None
+        raise
 
 
-def _area_sum(areas: Sequence[float]) -> float:
-    """Exact sum of ``areas``; ValueError when it overflows a double."""
+def _judge_areas(areas) -> tuple[tuple[float, ...], float]:
+    """``areas`` as floats and their exact sum; ValueError if there is none,
+    at the first that is not a finite positive double, or if the sum overflows."""
+    (vals,) = _floats((tuple(areas),), "area #{} lies beyond the largest double")
+    if not vals:
+        raise ValueError("at least one target area is required (n >= 1)")
+    if not (all(map(math.isfinite, vals)) and min(vals) > 0.0):
+        i, a = next((i, a) for i, a in enumerate(vals) if not (math.isfinite(a) and a > 0.0))
+        raise ValueError(f"area #{i} must be positive and finite, got {a!r}")
     try:
-        return math.fsum(areas)
+        return vals, math.fsum(vals)
     except OverflowError:
         raise ValueError("the areas sum beyond the largest double") from None
 
@@ -246,15 +259,10 @@ class Instance:
     areas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "areas", _area_floats(self.areas))
-        if len(self.areas) == 0:
-            raise ValueError("at least one target area is required")
         if not math.isfinite(self.container.area):
             raise ValueError(f"the container's area overflows: {self.container!r}")
-        for i, a in enumerate(self.areas):
-            if not (math.isfinite(a) and a > 0):
-                raise ValueError(f"area #{i} must be positive and finite, got {a!r}")
-        total = _area_sum(self.areas)
+        areas, total = _judge_areas(self.areas)
+        object.__setattr__(self, "areas", areas)
         if abs(total - self.container.area) > REL_TOL * self.container.area:
             raise ValueError(
                 f"areas sum to {total} but the container holds {self.container.area}; "
@@ -269,13 +277,10 @@ class Instance:
 def make_instance(container: Rect, areas, *, normalize: bool = False) -> Instance:
     """Build an :class:`Instance`, optionally rescaling the areas so they
     fill the container exactly."""
-    vals = _area_floats(areas)
     if normalize:
-        if not vals or any(not (math.isfinite(a) and a > 0) for a in vals):
-            raise ValueError("normalization needs a non-empty list of positive finite areas")
-        total = _area_sum(vals)
-        vals = tuple(a / total * container.area for a in vals)
-    return Instance(container, vals)
+        vals, total = _judge_areas(areas)
+        areas = tuple(a / total * container.area for a in vals)
+    return Instance(container, areas)
 
 
 def _leaf_ids(kind: Sequence, n: int) -> list[int]:
@@ -301,10 +306,7 @@ def _float_columns(cols: Sequence[Sequence], length: int, what: str) -> tuple[tu
     h, are positive: the panes :class:`Rect` accepts."""
     if len(cols) != 4 or any(len(col) != length for col in cols):
         raise ValueError(f"{what} must be four columns of {length} numbers")
-    try:
-        floats = tuple(tuple(map(float, col)) for col in cols)
-    except OverflowError:
-        raise ValueError(f"{what} hold a number beyond the largest double") from None
+    floats = _floats(cols, f"{what} hold a number beyond the largest double in row {{}}")
     if not all(map(math.isfinite, chain.from_iterable(floats))):
         row = next(i for i, p in enumerate(zip(*floats)) if not all(map(math.isfinite, p)))
         raise ValueError(f"{what} must hold finite numbers; row {row} does not")

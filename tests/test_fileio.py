@@ -161,12 +161,95 @@ def test_parse_layout_names_the_first_tree_error(tmp_path, capsys, case):
     ('{"container": {"width": "1", "height": 1}, "areas": [1]}', "container width must be a number, got '1'"),
     ('{"areas": [1]}', 'instance document needs "container" and "areas" keys'),
     ('{"container": [1, 1], "areas": [1]}', '"container" must be an object with width and height'),
-    ('{"container": {"width": Infinity, "height": 1}, "areas": [1]}', "container width must be finite, got inf"),
+    ('{"container": {"width": Infinity, "height": 1}, "areas": [1]}',
+     "container: rectangle fields must be finite: Rect(x=0.0, y=0.0, w=inf, h=1.0)"),
 ], ids=["string-width", "no-container", "list-container", "infinite-width"])
 def test_parse_instance_rejects_malformed_documents(doc, error):
     with pytest.raises(FileFormatError) as info:
         rp.parse_instance(doc)
     assert str(info.value) == error
+
+
+def _label(text):
+    return "400-digits" if len(text) == 400 else text
+
+
+#: Instance documents that no reading may accept, each with its one refusal,
+#: which names the offending entry. Bad areas sit at index 1, after a good one.
+BAD_INSTANCES = {
+    f"area={_label(text)}": ('{"container": {"width": 1, "height": 1}, "areas": [0.5, %s]}' % text, error)
+    for text, error in [
+        ('"1"', "areas[1] must be a number, got '1'"),
+        ("true", "areas[1] must be a number, got True"),
+        ("null", "areas[1] must be a number, got None"),
+        ("NaN", "area #1 must be positive and finite, got nan"),
+        ("Infinity", "area #1 must be positive and finite, got inf"),
+        ("-Infinity", "area #1 must be positive and finite, got -inf"),
+        ("0", "area #1 must be positive and finite, got 0.0"),
+        ("-0.0", "area #1 must be positive and finite, got -0.0"),
+        ("-0.5", "area #1 must be positive and finite, got -0.5"),
+        ("9" * 400, "area #1 lies beyond the largest double"),
+    ]
+} | {
+    f"width={_label(text)}": ('{"container": {"width": %s, "height": 1}, "areas": [1]}' % text, error)
+    for text, error in [
+        ("9" * 400, "container: rectangle field w lies beyond the largest double"),
+        ("0", "container: rectangle extents must be positive: w=0.0, h=1.0"),
+        ("-1", "container: rectangle extents must be positive: w=-1.0, h=1.0"),
+        ("Infinity", "container: rectangle fields must be finite: Rect(x=0.0, y=0.0, w=inf, h=1.0)"),
+    ]
+} | {
+    "areas=[]": ('{"container": {"width": 1, "height": 1}, "areas": []}',
+                 "at least one target area is required (n >= 1)"),
+    "areas={}": ('{"container": {"width": 1, "height": 1}, "areas": {"a": 1}}',
+                 '"areas" must be a list'),
+}
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("case", list(BAD_INSTANCES))
+def test_instance_reader_refuses_bad_numbers(tmp_path, capsys, case, normalize):
+    doc, error = BAD_INSTANCES[case]
+    with pytest.raises(FileFormatError) as info:
+        rp.parse_instance(doc, normalize=normalize)
+    assert str(info.value) == error
+    (tmp_path / "inst.json").write_text(doc)
+    out = tmp_path / "layout.json"
+    argv = ["partition", "--algo", "dc", "--input", str(tmp_path / "inst.json"), "--output", str(out)]
+    assert cli_main(argv + ["--normalize"] * normalize) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
+_json_numbers = st.integers() | st.floats() | st.integers(min_value=-10**400, max_value=10**400)
+#: Mostly accepted, though their extremes can still overflow or underflow.
+_positive_numbers = st.integers(min_value=1, max_value=10**6) | st.floats(min_value=1e-300, max_value=1e300)
+_json_values = st.recursive(
+    st.none() | st.booleans() | _json_numbers | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        _json_values,
+        *(st.fixed_dictionaries({
+            "container": st.fixed_dictionaries({"width": numbers, "height": numbers}),
+            "areas": st.lists(numbers, max_size=6),
+        }) for numbers in (_json_numbers, _positive_numbers)),
+        st.fixed_dictionaries({"container": _json_values, "areas": _json_values}),
+    ),
+    st.booleans(),
+)
+def test_parse_instance_returns_an_instance_or_refuses(doc, normalize):
+    try:
+        inst = rp.parse_instance(json.dumps(doc), normalize=normalize)
+    except FileFormatError:
+        return
+    assert (inst.container.w, inst.container.h) == (doc["container"]["width"], doc["container"]["height"])
+    assert inst.n == len(doc["areas"])
 
 
 _RECT = {"x": 0, "y": 0, "width": 1, "height": 1}
@@ -228,6 +311,13 @@ def test_parse_rejects_bytes_that_are_not_utf8(parse):
     with pytest.raises(FileFormatError) as info:
         parse(b"\xff{}")
     assert str(info.value) == "not UTF-8 text at byte 0: invalid start byte"
+
+
+@pytest.mark.parametrize("parse", [rp.parse_instance, rp.parse_layout])
+def test_parse_rejects_integer_literals_too_long_to_convert(parse):
+    # Python refuses to convert an integer literal of more than 4,300 digits.
+    with pytest.raises(FileFormatError, match="^invalid JSON: Exceeds the limit"):
+        parse('{"container": {"width": 1, "height": 1}, "areas": [%s], "rects": []}' % ("9" * 5000))
 
 
 def test_layout_round_trip_flat():

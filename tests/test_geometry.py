@@ -141,6 +141,37 @@ def test_instance_and_validation_reject_mismatched_input():
         rp.validate_layout(inst, rp.Layout((rp.Rect(0, 0, 1, 1),), None))
 
 
+@pytest.mark.parametrize("areas, error", [
+    ([], "at least one target area is required (n >= 1)"),
+    ([0.5, 10**400], "area #1 lies beyond the largest double"),
+    ([0.5, math.nan], "area #1 must be positive and finite, got nan"),
+    ([0.5, math.inf], "area #1 must be positive and finite, got inf"),
+    ([0.5, 0.5, 0], "area #2 must be positive and finite, got 0.0"),
+    ([1.5, -0.5], "area #1 must be positive and finite, got -0.5"),
+], ids=["empty", "beyond-double", "nan", "inf", "zero", "negative"])
+def test_instance_and_make_instance_share_one_area_judge(areas, error):
+    container = rp.Rect(0, 0, 1, 1)
+    for build in (
+        lambda: rp.Instance(container, tuple(areas)),
+        lambda: rp.make_instance(container, areas),
+        lambda: rp.make_instance(container, areas, normalize=True),
+    ):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == error
+
+
+def test_layout_names_the_row_beyond_a_double():
+    big = 10**400
+    with pytest.raises(ValueError) as info:
+        rp.Layout.of_columns(3, None, ((0, 0, 0), (0, 1, big), (1, 1, 1), (1, big, 1)))
+    assert str(info.value) == "pane columns hold a number beyond the largest double in row 1"
+    kind = (rp.Cut.HORIZONTAL, 0, 1)
+    with pytest.raises(ValueError) as info:
+        rp.Layout.of_columns(2, (kind, (0, 0, big), (0, 0.5, 0), (1, 1, 1), (1, 0.5, 0.5)))
+    assert str(info.value) == "tree node columns hold a number beyond the largest double in row 2"
+
+
 def test_validate_layout_accepts_exact_halves():
     inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.5, 0.5])
     layout = rp.Layout((rp.Rect(0, 0.5, 1, 0.5), rp.Rect(0, 0, 1, 0.5)), None)
