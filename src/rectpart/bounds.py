@@ -10,25 +10,22 @@ set is the least fixed point of three rules:
 * when a forced rectangle is cut and a single target area claims at least
   half of it, that area's order in the reduction never changes, so the
   second (right/bottom) piece is forced;
-* a rectangle both of whose long edges lie inside long edges of forced
-  rectangles is forced. Each edge may be certified by a different forced
-  rectangle in the default mode; ``per_edge=False`` demands one certifier
-  for both. A square has no distinct long side, so all four of its edges act
-  as long edges, and as a candidate it qualifies when either opposite pair
+* a rectangle whose two long edges lie inside long edges of forced
+  rectangles, not necessarily the same one, is forced. A square's four
+  edges all act as long edges, and it qualifies when either opposite pair
   is certified.
 
 The closure keeps one bitmask per node: bit s is set once the node's long
 edge s lies inside a forced long edge (bits 0-1 the long-edge pair, bits 2-3
-a square's vertical pair). Each forced node scans the candidate edges once;
-the default mode ORs the bits it covers into each candidate's mask, while
-``per_edge=False`` tests them alone. The rules are monotone, so the order in
-which nodes are forced does not change the set.
+a square's vertical pair). Each forced node ORs the bits it covers into the
+candidates' masks once, forcing each candidate whose pair completes. The
+rules are monotone, so the order of forcing does not change the set.
 
 The forced-aware value sums width + height over forced terminal panes and
 2*sqrt(A) over the rest; it is never smaller than the naive bound. It is not
 a bound on every input: the rules argue about this layout's cuts, not about
-every tiling, and on some instances it exceeds the guillotine optimum, in
-both modes (ROADMAP item 12).
+every tiling, and on some instances it exceeds the guillotine optimum
+(ROADMAP item 12).
 """
 
 from __future__ import annotations
@@ -45,15 +42,13 @@ from .geometry import Instance, Layout, validate_layout
 EDGE_TOL = 1e-9
 
 
-def detect_forced(layout: Layout, areas: Sequence[float], *, per_edge: bool = True) -> set[int]:
+def detect_forced(layout: Layout, areas: Sequence[float]) -> set[int]:
     """Ids of forced nodes, indexing the preorder node columns of ``layout``;
     ValueError when it carries no cut tree.
 
     ``areas`` is the instance's target-area list, looked up through each
-    leaf's area index; it supplies the largest-constituent test for the
-    dominant-area rule. The closure runs as a worklist: forcing a node
-    publishes its long edges and, when a single constituent claims at least
-    half its area, forces its right child.
+    leaf's area index for the dominant-area rule. The closure runs as a
+    worklist of forced nodes, each of which is scanned once.
     """
     if layout.nodes is None:
         raise ValueError("the layout carries no cut tree")
@@ -91,37 +86,29 @@ def detect_forced(layout: Layout, areas: Sequence[float], *, per_edge: bool = Tr
     vert.sort(key=line)
 
     covered = [0] * n_nodes
-    forced = [False] * n_nodes
-    queue: list[int] = []
-
-    def force(i: int) -> None:
-        if not forced[i]:
-            forced[i] = True
-            queue.append(i)
-
-    force(0)
+    forced = [True] + [False] * (n_nodes - 1)  # the container
+    queue = [0]
     while queue:
         f = queue.pop()
         x, y, w, h = xs[f], ys[f], ws[f], hs[f]
-        if left_id[f] >= 0 and a_max[f] >= 0.5 * (w * h) * (1.0 - 1e-12):
-            force(right_id[f])
+        r = right_id[f]
+        if r >= 0 and not forced[r] and a_max[f] >= 0.5 * (w * h) * (1.0 - 1e-12):
+            forced[r] = True
+            queue.append(r)
         own = []  # f's long edges: (candidates, line, span start, span end)
         if w >= h:
             own += (horiz, y, x, x + w), (horiz, y + h, x, x + w)
         if h >= w:
             own += (vert, x, y, y + h), (vert, x + w, y, y + h)
-        by_f: dict[int, int] = {}  # the bits that f alone covers, per candidate
         for cand, c, lo, hi in own:
             start = bisect.bisect_left(cand, c - tol, key=line)
             stop = bisect.bisect_right(cand, c + tol, key=line)
             for _, clo, chi, j, slot in cand[start:stop]:
                 if not forced[j] and clo >= lo - tol and chi <= hi + tol:
-                    by_f[j] = by_f.get(j, 0) | 1 << slot
-        for j, bits in by_f.items():
-            if per_edge:
-                bits = covered[j] = covered[j] | bits
-            if bits & 0b0011 == 0b0011 or bits & 0b1100 == 0b1100:
-                force(j)
+                    bits = covered[j] = covered[j] | 1 << slot
+                    if bits & 0b0011 == 0b0011 or bits & 0b1100 == 0b1100:
+                        forced[j] = True
+                        queue.append(j)
     return {i for i in range(n_nodes) if forced[i]}
 
 

@@ -36,15 +36,17 @@ class Rect:
     h: float
 
     def __post_init__(self) -> None:
-        try:
-            for name in ("x", "y", "w", "h"):
-                object.__setattr__(self, name, float(getattr(self, name)))
-        except OverflowError:
-            raise ValueError(f"rectangle field {name} lies beyond the largest double") from None
-        if not all(map(math.isfinite, (self.x, self.y, self.w, self.h))):
-            raise ValueError(f"rectangle fields must be finite: {self!r}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"rectangle extents must be positive: w={self.w}, h={self.h}")
+        # Each refusal names the first bad field, in the order x, y, w, h.
+        for name in ("x", "y", "w", "h"):
+            try:
+                value = float(getattr(self, name))
+            except OverflowError:
+                raise ValueError(f"rectangle field {name} lies beyond the largest double") from None
+            if not math.isfinite(value):
+                raise ValueError(f"rectangle field {name} must be finite, got {value}")
+            if value <= 0 and name in ("w", "h"):
+                raise ValueError(f"rectangle field {name} must be positive, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def area(self) -> float:

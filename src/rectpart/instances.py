@@ -20,7 +20,7 @@ FAMILIES = ("uniform", "geometric")
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Recipe for one random instance."""
+    """Recipe for one random instance; ``n`` and ``seed`` are ints, not bools."""
 
     n: int
     family: str
@@ -29,32 +29,29 @@ class GenSpec:
     q: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"n must be an int of at least 1, got {self.n!r}")
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
         if self.family == "geometric" and not 0.0 < self.q <= 1.0:
             raise ValueError(f"q must lie in (0, 1], got {self.q}")
 
 
-def generate(spec: GenSpec, *, jitter: bool = True) -> Instance:
+def generate(spec: GenSpec) -> Instance:
     """Draw the area list for ``spec``, rescaled to fill the container exactly.
 
     uniform: independent draws from (0, 1].
     geometric: q**i decay, each term multiplied by independent jitter from
-    [0.9, 1.1]. ``jitter=False`` turns the noise off so analytic cases stay
-    exact. Small q with large n, or a tiny container, can underflow areas
-    to 0.0; ValueError then names the first one.
+    [0.9, 1.1]. Small q with large n, or a tiny container, can underflow
+    areas to 0.0; ValueError then names the first one.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     if spec.family == "uniform":
         raw = 1.0 - rng.random(spec.n)
     else:
-        raw = spec.q ** np.arange(1, spec.n + 1, dtype=float)
-        if jitter:
-            raw = raw * rng.uniform(0.9, 1.1, spec.n)
+        raw = spec.q ** np.arange(1, spec.n + 1, dtype=float) * rng.uniform(0.9, 1.1, spec.n)
     total = float(raw.sum())
     area = spec.container.area
     areas = tuple(float(v) / total * area for v in raw)

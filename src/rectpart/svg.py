@@ -31,9 +31,12 @@ def _color(index: int) -> str:
 
 def render_svg(layout: Layout, inst: Instance, labels: str = "index") -> bytes:
     """One SVG document with one rect per pane, labeled by ``labels``: "none",
-    "index" or "full" (index and target area)."""
+    "index" or "full" (index and target area). ValueError unless ``layout``
+    has one pane per area of ``inst``."""
     if labels not in ("none", "index", "full"):
         raise ValueError(f'labels must be "none", "index" or "full", got {labels!r}')
+    if len(layout.panes[0]) != inst.n:
+        raise ValueError(f"layout carries {len(layout.panes[0])} rects for {inst.n} areas")
     c = inst.container
     ratio = PIXEL_WIDTH * c.h / c.w
     # Where the quotient lies beyond the largest double, take it exactly.

@@ -311,9 +311,7 @@ def _long_edges(x: float, y: float, w: float, h: float) -> list[tuple[str, float
     return horiz + vert
 
 
-def reference_detect_forced(
-    layout: Layout, areas: Sequence[float], *, per_edge: bool = True
-) -> set[int]:
+def reference_detect_forced(layout: Layout, areas: Sequence[float]) -> set[int]:
     """Reference for :func:`rectpart.detect_forced`: the same closure over a
     candidate index built from per-node edge lists."""
     if layout.nodes is None:
@@ -366,8 +364,7 @@ def reference_detect_forced(
                 if not forced[j] and clo >= lo - tol and chi <= hi + tol:
                     by_f[j] = by_f.get(j, 0) | 1 << slot
         for j, bits in by_f.items():
-            if per_edge:
-                bits = covered[j] = covered[j] | bits
+            bits = covered[j] = covered[j] | bits
             if bits & 0b0011 == 0b0011 or bits & 0b1100 == 0b1100:
                 force(j)
     return {i for i in range(n_nodes) if forced[i]}

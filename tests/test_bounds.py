@@ -23,24 +23,14 @@ def test_dominant_area_forces_everything_in_halving():
     assert forced == {0, 1, 2}
 
 
-def test_conservative_mode_needs_one_certifier_for_both_edges():
-    inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.6, 0.4])
-    layout = rp.partition_dc(inst)
-    forced = rp.detect_forced(layout, inst.areas, per_edge=False)
-    # the top pane's edges lie in two different forced rectangles, so the
-    # single-certifier reading leaves it out
-    assert forced == {0, 2}
-
-
 @pytest.mark.parametrize("partition", [rp.partition_dc, rp.partition_mdc])
-@pytest.mark.parametrize("per_edge", [True, False])
-def test_square_forced_through_its_second_edge_pair(partition, per_edge):
+def test_square_forced_through_its_second_edge_pair(partition):
     inst = rp.make_instance(rp.Rect(0, 0, 1, 2), [1.0, 1.0])
     layout = partition(inst)
     # preorder: 0 the tall container, 1 top square, 2 bottom square. The
     # container's long edges cover the top square's vertical pair; its top
     # edge y=2 lies in no forced long edge, so only the second pair counts.
-    assert rp.detect_forced(layout, inst.areas, per_edge=per_edge) == {0, 1, 2}
+    assert rp.detect_forced(layout, inst.areas) == {0, 1, 2}
 
 
 @pytest.mark.parametrize("partition", [rp.partition_dc, rp.partition_mdc])
@@ -49,7 +39,6 @@ def test_squares_under_a_dominant_half(partition):
     layout = partition(inst)
     # preorder: 0 root, 1 top half, 2 bottom half, 3 and 4 its two squares
     assert rp.detect_forced(layout, inst.areas) == {0, 1, 2, 3, 4}
-    assert rp.detect_forced(layout, inst.areas, per_edge=False) == {0, 2, 3, 4}
 
 
 def test_no_dominant_area_keeps_right_child_unforced():
@@ -163,12 +152,11 @@ def test_bound_and_closure_invariants(family, q, n):
 
 
 @settings(max_examples=300, deadline=None)
-@given(column_layouts(tree=st.just(True)), st.booleans(), st.data())
-def test_detect_forced_matches_reference_on_column_trees(layout, per_edge, data):
+@given(column_layouts(tree=st.just(True)), st.data())
+def test_detect_forced_matches_reference_on_column_trees(layout, data):
     n = len(layout.panes[0])
     areas = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
-    got = rp.detect_forced(layout, areas, per_edge=per_edge)
-    assert got == reference_detect_forced(layout, areas, per_edge=per_edge)
+    assert rp.detect_forced(layout, areas) == reference_detect_forced(layout, areas)
 
 
 @settings(max_examples=150, deadline=None)
@@ -180,13 +168,11 @@ def test_detect_forced_matches_reference_on_column_trees(layout, per_edge, data)
         st.builds(lambda n, q: [q**i for i in range(n)], st.integers(1, 30), st.floats(0.1, 0.95)),
     ),
     st.sampled_from([rp.partition_dc, rp.partition_mdc]),
-    st.booleans(),
 )
-def test_detect_forced_matches_reference_on_partitions(container, areas, partition, per_edge):
+def test_detect_forced_matches_reference_on_partitions(container, areas, partition):
     inst = rp.make_instance(container, areas, normalize=True)
     try:
         layout = partition(inst)
     except ValueError:
         assume(False)  # no representable cut (ROADMAP item 4)
-    want = reference_detect_forced(layout, inst.areas, per_edge=per_edge)
-    assert rp.detect_forced(layout, inst.areas, per_edge=per_edge) == want
+    assert rp.detect_forced(layout, inst.areas) == reference_detect_forced(layout, inst.areas)

@@ -12,12 +12,6 @@ def test_single_area_equals_container_area():
         assert inst.areas == (5.0,)
 
 
-def test_constant_geometric_without_jitter():
-    spec = rp.GenSpec(n=4, family="geometric", seed=0, container=rp.Rect(0, 0, 2, 2), q=1.0)
-    inst = rp.generate(spec, jitter=False)
-    assert inst.areas == (1.0, 1.0, 1.0, 1.0)
-
-
 def test_same_spec_same_bytes():
     spec = rp.GenSpec(n=25, family="uniform", seed=42, container=rp.Rect(0, 0, 1, 1))
     a = rp.generate(spec)
@@ -56,6 +50,15 @@ def test_genspec_validation():
         rp.GenSpec(n=3, family="geometric", seed=1, container=container, q=0.0)
     with pytest.raises(ValueError):
         rp.GenSpec(n=3, family="uniform", seed=-1, container=container)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 3.0), ("n", True), ("seed", 2.0), ("seed", True), ("seed", "1"),
+])
+def test_genspec_refuses_counts_that_are_not_ints(field, value):
+    spec = dict(n=3, family="uniform", seed=1, container=rp.Rect(0, 0, 1, 1)) | {field: value}
+    with pytest.raises(ValueError, match=rf"^{field} must be an int"):
+        rp.GenSpec(**spec)
 
 
 def test_areas_are_positive_and_fill_container():

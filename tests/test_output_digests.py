@@ -3,10 +3,9 @@
 ``tests/data/output_digests.json`` records, for a fixed set of instances,
 the sha256 of ``serialize_layout(layout, include_tree=True)`` and the
 ``ReductionStats`` of dc and mdc, the sha256 of each layout's quality report
-and its conservative (``per_edge=False``) forced set, and the oracle's value
-and the digest of its witness. Any changed bit in a rect, a cut, a counter or
-a forced flag fails here. A change that is meant to move outputs rewrites the
-file with
+and its forced set, and the oracle's value and the digest of its witness.
+Any changed bit in a rect, a cut, a counter or a forced flag fails here. A
+change that is meant to move outputs rewrites the file with
 
     PYTHONPATH=src python tests/test_output_digests.py
 
@@ -96,11 +95,11 @@ def partition_digest(inst, algo):
 
 
 def forced_digest(inst, algo):
-    # The report carries the default per-edge flags of the leaves; the id list
-    # pins the conservative mode on every node, internal ones included.
+    # The report carries the forced flags of the leaves; the id list pins
+    # them on every node, internal ones included.
     layout = _partition(inst, algo)
     report = rp.report_to_json(rp.report(inst, layout))
-    forced = rp.detect_forced(layout, inst.areas, per_edge=False)
+    forced = rp.detect_forced(layout, inst.areas)
     return {"report": hashlib.sha256(report).hexdigest(), "forced": sorted(forced)}
 
 

@@ -50,6 +50,18 @@ def test_rect_areas_match_layout():
         assert area == pytest.approx(pane.area, rel=1e-9)
 
 
+@pytest.mark.parametrize("labels", ["none", "index", "full"])
+def test_refuses_another_instances_layout(labels):
+    one = rp.make_instance(rp.Rect(0, 0, 1, 1), [1.0])
+    two = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.5, 0.5])
+    for layout, inst, text in (
+        (rp.partition_dc(two), one, "layout carries 2 rects for 1 areas"),
+        (rp.partition_dc(one), two, "layout carries 1 rects for 2 areas"),
+    ):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            rp.render_svg(layout, inst, labels=labels)
+
+
 def test_label_modes():
     inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.5, 0.5])
     layout = rp.partition_dc(inst)
