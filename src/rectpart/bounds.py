@@ -11,9 +11,9 @@ set is the least fixed point of three rules:
   half of it, that area's order in the reduction never changes, so the
   second (right/bottom) piece is forced;
 * a rectangle whose two long edges lie inside long edges of forced
-  rectangles, not necessarily the same one, is forced. A square's four
-  edges all act as long edges, and it qualifies when either opposite pair
-  is certified.
+  rectangles (within ``REL_TOL`` times the container's longer side), not
+  necessarily the same one, is forced. A square's four edges all act as
+  long edges, and it qualifies when either opposite pair is certified.
 
 The closure keeps one bitmask per node: bit s is set once the node's long
 edge s lies inside a forced long edge (bits 0-1 the long-edge pair, bits 2-3
@@ -36,10 +36,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from .geometry import Instance, Layout, validate_layout
-
-#: Coordinate slack for edge containment, relative to the container extent.
-EDGE_TOL = 1e-9
+from .geometry import REL_TOL, Instance, Layout, validate_layout
 
 
 def detect_forced(layout: Layout, areas: Sequence[float]) -> set[int]:
@@ -65,7 +62,7 @@ def detect_forced(layout: Layout, areas: Sequence[float]) -> set[int]:
         else:
             a_max[i] = max(a_max[left_id[i]], a_max[right_id[i]])
 
-    tol = EDGE_TOL * max(ws[0], hs[0])
+    tol = REL_TOL * max(ws[0], hs[0])
 
     # All candidate long edges as (line, span start, span end, node, slot),
     # bucketed by orientation and sorted by their line so a forced edge only

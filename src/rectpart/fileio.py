@@ -41,13 +41,13 @@ from typing import Any, Iterable, Sequence
 
 from .bounds import QualityReport
 from .geometry import (
-    REL_TOL,
     Cut,
     Instance,
     Layout,
     Pane,
     PaneColumns,
     Rect,
+    check_cuts,
     make_instance,
 )
 
@@ -93,7 +93,7 @@ def parse_instance(data: bytes | str, *, normalize: bool = False) -> Instance:
     if not isinstance(areas, list):
         raise FileFormatError('"areas" must be a list')
     w, h = _numbers((cont.get("width"), cont.get("height")), ("container width", "container height"))
-    _numbers(areas, map("areas[{}]".format, range(len(areas))))
+    _numbers(areas, map("area #{}".format, range(len(areas))))
     where = "container: "
     try:
         container = Rect(0.0, 0.0, w, h)
@@ -198,33 +198,11 @@ def _node_from_obj(obj: Any, i: int) -> tuple:
     return (Cut(cut), *pane)
 
 
-def _check_cuts(layout: Layout) -> None:
-    """Reject internal nodes whose children do not tile them along their cut, left/top first."""
-    kind, x, y, w, h = layout.nodes  # type: ignore[misc]
-    left, right = layout.children  # type: ignore[misc]
-    tol = REL_TOL * max(w[0], h[0])
-    for i, cut in enumerate(kind):
-        if left[i] < 0:
-            continue
-        a, b = left[i], right[i]
-        if cut is Cut.VERTICAL:
-            want = (x[i], y[i], w[a], h[i], x[i] + w[a], y[i], w[i] - w[a], h[i])
-        else:
-            want = (x[i], y[i] + h[i] - h[a], w[i], h[a], x[i], y[i], w[i], h[i] - h[a])
-        got = (x[a], y[a], w[a], h[a], x[b], y[b], w[b], h[b])
-        if any(abs(g - v) > tol for g, v in zip(got, want)):
-            raise FileFormatError(
-                f"the children of tree node {i} do not tile it along its {cut.value} cut"
-            )
-
-
 def parse_layout(data: bytes | str) -> Layout:
-    """Decode a layout document of format version 1 or 2.
-
-    Every index 0..n-1 must appear exactly once in the rects. When a tree is
-    present its leaves must cover 0..n-1 exactly once and agree with the flat
-    rect list exactly, and the children of every cut must tile it.
-    """
+    """Decode a layout document of format version 1 or 2. The reader checks
+    what JSON can get wrong: keys, types, and rect indices naming 0..n-1 once
+    each. :class:`Layout` judges the numbers, the tree's shape and its leaves,
+    and :func:`geometry.check_cuts` the tiling, by the placer's own cut rule."""
     doc = _loads(data)
     if not isinstance(doc, dict) or "rects" not in doc:
         raise FileFormatError('layout document needs a "rects" key')
@@ -256,10 +234,9 @@ def parse_layout(data: bytes | str) -> Layout:
         nodes = tuple(zip(*[_node_from_obj(obj, i) for i, obj in enumerate(objs)]))
     try:
         layout = Layout.of_columns(n, nodes, panes)  # type: ignore[arg-type]
+        check_cuts(layout)
     except ValueError as e:
         raise FileFormatError(str(e)) from e
-    if nodes is not None:
-        _check_cuts(layout)
     return layout
 
 

@@ -102,10 +102,33 @@ def cut_pane(x: float, y: float, w: float, h: float, cut: Cut, a1: float) -> tup
             f"a {cut.value} cut of Rect(x={x!r}, y={y!r}, w={w!r}, h={h!r}) "
             f"at first-piece area {a1} leaves a piece without extent"
         )
-    w1, h1, w2, h2 = ext
+    return _pieces(x, y, w, h, cut, ext[0 if cut is Cut.VERTICAL else 1])
+
+
+def _pieces(x: float, y: float, w: float, h: float, cut: Cut, e: float) -> tuple[Pane, Pane]:
+    """The pieces of a ``cut`` of the pane ``(x, y, w, h)`` whose first, left or
+    top, has extent ``e`` across it: the one cut rule of placer and reader."""
     if cut is Cut.VERTICAL:
-        return (x, y, w1, h1), (x + w1, y, w2, h2)
-    return (x, y + h2, w1, h1), (x, y, w2, h2)
+        return (x, y, e, h), (x + e, y, w - e, h)
+    return (x, y + (h - e), w, e), (x, y, w, h - e)
+
+
+def check_cuts(layout: Layout) -> None:
+    """ValueError at the first cut of ``layout``'s tree, if any, whose children
+    are not the :func:`_pieces` of its first child's extent, within ``REL_TOL``
+    times the root's longer side (:func:`validate_layout`'s containment slack)."""
+    if layout.nodes is None:
+        return
+    kind, *cols = layout.nodes
+    left, right = layout.children  # type: ignore[misc]
+    panes = list(zip(*cols))
+    tol = REL_TOL * max(panes[0][2], panes[0][3])
+    for i, (cut, a, b) in enumerate(zip(kind, left, right)):
+        if a >= 0:
+            got = panes[a] + panes[b]
+            p, q = _pieces(*panes[i], cut, got[2 if cut is Cut.VERTICAL else 3])
+            if got != p + q and any(abs(g - v) > tol for g, v in zip(got, p + q)):
+                raise ValueError(f"the children of tree node {i} do not tile it along its {cut.value} cut")
 
 
 def split_rect(q: Rect, a1: float) -> tuple[Rect, Rect]:

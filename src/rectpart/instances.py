@@ -20,7 +20,7 @@ FAMILIES = ("uniform", "geometric")
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Recipe for one random instance; ``n`` and ``seed`` are ints, not bools."""
+    """Recipe for one random instance: ``n`` and ``seed`` ints, ``q`` an int or float, no bools."""
 
     n: int
     family: str
@@ -35,6 +35,8 @@ class GenSpec:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
+        if type(self.q) not in (int, float):
+            raise ValueError(f"q must be an int or a float, got {self.q!r}")
         if self.family == "geometric" and not 0.0 < self.q <= 1.0:
             raise ValueError(f"q must lie in (0, 1], got {self.q}")
 

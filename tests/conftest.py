@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from rectpart import Cut, GenSpec, Layout, Rect, generate
-from rectpart.bounds import EDGE_TOL, QualityReport
+from rectpart.bounds import QualityReport
 from rectpart.dc import Block, ReductionStats
 from rectpart.fileio import LAYOUT_VERSION
 from rectpart.geometry import OVERLAP_REL_TOL, REL_TOL, LayoutDiagnostics
@@ -329,7 +329,7 @@ def reference_detect_forced(layout: Layout, areas: Sequence[float]) -> set[int]:
         else:
             a_max[i] = max(a_max[left_id[i]], a_max[right_id[i]])
 
-    tol = EDGE_TOL * max(ws[0], hs[0])
+    tol = REL_TOL * max(ws[0], hs[0])
 
     # All candidate long edges, bucketed by orientation and sorted by their
     # supporting line so a forced edge only scans nearby candidates.

@@ -139,6 +139,22 @@ def test_parse_layout_rejects_malformed_trees(version, tree):
         rp.parse_layout(json.dumps(doc))
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: only the reader judges a tree's cuts")
+def test_a_layout_that_validates_reads_back_from_its_file():
+    # The root is 2x1 while its leaves are the 1x0.5 halves of the unit
+    # square: every library call takes the layout, and only the reader
+    # refuses it ("the children of tree node 0 do not tile it along its
+    # horizontal cut").
+    inst = rp.make_instance(rp.Rect(0, 0, 1, 1), [0.5, 0.5])
+    top, bottom = rp.Rect(0, 0.5, 1, 0.5), rp.Rect(0, 0, 1, 0.5)
+    tree = rp.Internal(rp.Rect(0, 0, 2, 1), rp.Cut.HORIZONTAL, rp.Leaf(top, 0), rp.Leaf(bottom, 1))
+    layout = rp.Layout([top, bottom], tree)
+    assert rp.Layout.of_columns(2, layout.nodes) == layout
+    assert rp.validate_layout(inst, layout).ok
+    rp.report(inst, layout)
+    assert rp.parse_layout(rp.serialize_layout(layout, include_tree=True)) == layout
+
+
 @pytest.mark.parametrize("case", list(MALFORMED_TREES))
 def test_parse_layout_names_the_first_tree_error(tmp_path, capsys, case):
     version, tree, error = MALFORMED_TREES[case]
@@ -179,9 +195,9 @@ def _label(text):
 BAD_INSTANCES = {
     f"area={_label(text)}": ('{"container": {"width": 1, "height": 1}, "areas": [0.5, %s]}' % text, error)
     for text, error in [
-        ('"1"', "areas[1] must be a number, got '1'"),
-        ("true", "areas[1] must be a number, got True"),
-        ("null", "areas[1] must be a number, got None"),
+        ('"1"', "area #1 must be a number, got '1'"),
+        ("true", "area #1 must be a number, got True"),
+        ("null", "area #1 must be a number, got None"),
         ("NaN", "area #1 must be positive and finite, got nan"),
         ("Infinity", "area #1 must be positive and finite, got inf"),
         ("-Infinity", "area #1 must be positive and finite, got -inf"),

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -104,6 +105,75 @@ def test_split_rect_tiles_exactly(r, frac):
             assert first.w == r.w == second.w and first.x == r.x == second.x
             assert second.y == r.y and first.y == second.y + second.h
             assert first.h + second.h == pytest.approx(r.h, rel=1e-12)
+
+
+def _bits(values):
+    return tuple(map(float.hex, values))
+
+
+def _assert_children_are_the_pieces(layout):
+    kind, *cols = layout.nodes
+    panes = list(zip(*cols))
+    for i, (cut, a, b) in enumerate(zip(kind, *layout.children)):
+        if a >= 0:
+            e = panes[a][2] if cut is rp.Cut.VERTICAL else panes[a][3]
+            want = geometry._pieces(*panes[i], cut, e)
+            assert _bits(chain(*want)) == _bits(panes[a] + panes[b]), i
+    geometry.check_cuts(layout)
+
+
+@pytest.mark.parametrize("family, q", [("uniform", 0.5), ("geometric", 0.5), ("geometric", 0.9)])
+@pytest.mark.parametrize("w, h", [(1, 1), (2, 1), (1, 3)])
+def test_placed_children_are_the_cut_rules_pieces_bit_for_bit(family, q, w, h):
+    # The placer and the reader's judge share one cut rule, so a placed
+    # tree's children are its rule's pieces exactly, not merely within the
+    # slack check_cuts allows.
+    container = rp.Rect(0, 0, w, h)
+    for seed, n in ((1, 6), (2, 40), (3, 200)):
+        inst = rp.generate(rp.GenSpec(n=n, family=family, seed=seed, container=container, q=q))
+        _assert_children_are_the_pieces(rp.partition_dc(inst))
+        _assert_children_are_the_pieces(rp.partition_mdc(inst))
+        if n <= 6:
+            _assert_children_are_the_pieces(rp.optimal_guillotine(inst)[1])
+
+
+def test_chain_children_are_the_cut_rules_pieces_bit_for_bit():
+    inst = geometric_chain(n=300)
+    _assert_children_are_the_pieces(rp.partition_dc(inst))
+    _assert_children_are_the_pieces(rp.partition_mdc(inst))
+    _assert_children_are_the_pieces(strip_chain(50))
+
+
+#: A two-leaf tree per cut orientation: the root pane and its first child's extent.
+TWO_LEAF_CUTS = {
+    rp.Cut.VERTICAL: ((0.25, -0.5, 2.0, 1.0), 0.75),
+    rp.Cut.HORIZONTAL: ((0.25, -0.5, 1.0, 3.0), 1.25),
+}
+
+
+@pytest.mark.parametrize("cut", list(rp.Cut), ids=lambda cut: cut.value)
+def test_check_cuts_refuses_any_child_coordinate_off_by_twice_the_slack(cut):
+    root, e = TWO_LEAF_CUTS[cut]
+    slack = geometry.REL_TOL * max(root[2], root[3])
+    children = list(chain(*geometry._pieces(*root, cut, e)))
+
+    def layout(coords):
+        rows = [(cut, *root), (0, *coords[:4]), (1, *coords[4:])]
+        return rp.Layout.of_columns(2, tuple(zip(*rows)))
+
+    text = f"^the children of tree node 0 do not tile it along its {cut.value} cut$"
+    geometry.check_cuts(layout(children))
+    for k in range(8):
+        near = children.copy()
+        near[k] += slack / 2
+        geometry.check_cuts(layout(near))
+        for step in (2 * slack, -2 * slack):
+            moved = children.copy()
+            moved[k] += step
+            with pytest.raises(ValueError, match=text):
+                geometry.check_cuts(layout(moved))
+            with pytest.raises(rp.FileFormatError, match=text):
+                rp.parse_layout(rp.serialize_layout(layout(moved), include_tree=True))
 
 
 def test_instance_requires_matching_sum():

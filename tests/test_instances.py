@@ -61,6 +61,16 @@ def test_genspec_refuses_counts_that_are_not_ints(field, value):
         rp.GenSpec(**spec)
 
 
+@pytest.mark.parametrize("family", rp.FAMILIES)
+@pytest.mark.parametrize("q", ["0.5", None, True, [0.5]], ids=["str", "None", "bool", "list"])
+def test_genspec_refuses_a_q_that_is_not_a_number(family, q):
+    with pytest.raises(ValueError, match=r"^q must be an int or a float, got "):
+        rp.GenSpec(n=3, family=family, seed=1, container=rp.Rect(0, 0, 1, 1), q=q)
+    # Only the geometric family reads q, so only it judges the range.
+    rp.GenSpec(n=3, family="geometric", seed=1, container=rp.Rect(0, 0, 1, 1), q=1)
+    rp.GenSpec(n=3, family="uniform", seed=1, container=rp.Rect(0, 0, 1, 1), q=2.0)
+
+
 def test_areas_are_positive_and_fill_container():
     spec = rp.GenSpec(n=100, family="uniform", seed=9, container=rp.Rect(0, 0, 1, 1))
     inst = rp.generate(spec)
