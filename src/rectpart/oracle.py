@@ -23,7 +23,7 @@ sums, per area, the least half-perimeter of a rectangle of that area whose
 shorter side fits the pane's shorter side. While the cuts give each piece
 its area to within the margin, the bound never exceeds a candidate's value
 by more than the margin, so a skipped candidate could not have been the
-cheapest, and each memo entry is still the exact minimum of its state: the
+cheapest, and each exact memo entry is the exact minimum of its state: the
 memo key is the exact state, not a rounding of it, so the entry cannot
 depend on the order in which the search visits states. The skip margin is
 wider than the witness's tie band, so every candidate the witness could
@@ -31,6 +31,34 @@ pick is still priced. Pruning therefore changes neither a value nor a
 witness, except where rounding takes a piece off its area by more than the
 margin; such a witness fails validation anyway, and its value may move in
 the last bits.
+
+Each search also carries a cap. It returns a pane's exact minimum when that
+minimum is at most the cap, and otherwise a lower bound above the cap, which
+the memo keeps flagged as a bound for later calls whose cap lies below it:
+the fail-low entries of an alpha-beta transposition table (Knuth and Moore,
+Artificial Intelligence 6, 1975). The loop starts its limit where pricing a
+candidate that costs the cap would put it. It prices each child under what
+the limit leaves it, widened by 1e-9 times the limit, seven orders of
+magnitude more than the rounding of that subtraction: a child whose minimum
+would let its candidate pass the limit comes back exact, and a child that
+comes back as a bound fails the test its minimum would fail, as a bound
+never exceeds the minimum. So the loop under a cap skips what the loop
+without one would after pricing a candidate of the cap's cost, and each
+skipped candidate costs more than the cap or than the cheapest one priced.
+If that one costs at most the cap, it is the exact minimum; otherwise every
+candidate costs more than the cap, and the entry, the least double above
+it, is at most the minimum. An inexact entry thus never hides the optimum,
+with the same margins and the same exception as the pruning.
+
+The root's cap is the total of dc's tiling, widened by the margin; the
+search prices that tiling too, up to the rounding of each cut's first area.
+Where one of dc's cuts has no piece, the cap is infinite; where dc's pieces
+are off their areas so that its total falls below the optimum as priced
+here, the root comes back as a bound and is searched again without a cap.
+The witness prices each pane under its optimum as the cap, where the
+search's own limit ends: the candidates the tie band accepts are priced
+exactly from exact entries, no pane is searched again, and the witness is
+the one the search without caps gives.
 """
 
 from __future__ import annotations
@@ -38,15 +66,15 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from .dc import _place
-from .geometry import Cut, Instance, Layout, cut_extents
+from .dc import _place, bipartition_two_smallest
+from .geometry import Cut, Instance, Layout, cut_across, cut_extents
 
 
 class OracleSizeError(RuntimeError):
     """Instance is too large for exhaustive search; raised instead of hanging."""
 
 
-Memo = dict[tuple, float]
+Memo = dict[tuple, tuple[float, bool]]
 
 
 def _split(vals: Sequence, mask: int) -> tuple[list, list]:
@@ -70,11 +98,17 @@ def _lower(vals: list[float], w: float, h: float) -> float:
     return sum(s + a / s if a > s * s else 2.0 * math.sqrt(a) for a in vals)
 
 
-def _priced(memo: Memo, vals: list[float], w: float, h: float) -> Iterator[tuple[float, int, Cut]]:
+def _priced(
+    memo: Memo, vals: list[float], w: float, h: float, cap: float
+) -> Iterator[tuple[float, int, Cut]]:
     # (value, mask, cut) of each representable cut of the w x h pane that
-    # may match the cheapest one, masks ascending and the vertical cut
-    # first, which is the tie order.
-    limit = math.inf
+    # may match the cheapest one, if that one costs at most cap, masks
+    # ascending and the vertical cut first, which is the tie order. The cap
+    # starts the limit as a priced candidate would, and each child's cap is
+    # what the limit leaves it, widened by the margin (module docstring). A
+    # value above the limit may rest on a bound, so only exact values are
+    # yielded.
+    limit = cap + 1e-9 * cap
     for mask in range(1, 1 << (len(vals) - 1)):
         g1, g2 = _split(vals, mask)
         s1 = math.fsum(g1)
@@ -86,23 +120,48 @@ def _priced(memo: Memo, vals: list[float], w: float, h: float) -> Iterator[tuple
             lower2 = _lower(g2, w2, h2)
             if _lower(g1, w1, h1) + lower2 > limit:
                 continue
-            v1 = _best(memo, g1, w1, h1)
+            slack = 1e-9 * limit
+            v1 = _best(memo, g1, w1, h1, limit - lower2 + slack)
             if v1 + lower2 > limit:
                 continue
-            v = v1 + _best(memo, g2, w2, h2)
+            v = v1 + _best(memo, g2, w2, h2, limit - v1 + slack)
+            if v > limit:
+                continue
             limit = min(limit, v + 1e-9 * v)
             yield v, mask, cut
 
 
-def _best(memo: Memo, vals: list[float], w: float, h: float) -> float:
+def _best(memo: Memo, vals: list[float], w: float, h: float, cap: float) -> float:
+    # The exact minimum of the pane if it is at most cap, else a lower bound
+    # above cap. An inexact memo entry answers only caps below it.
     if len(vals) == 1:
         return w + h
     k = (tuple(vals), w, h) if w >= h else (tuple(vals), h, w)
     hit = memo.get(k)
-    if hit is not None:
-        return hit
-    memo[k] = best_v = min((v for v, _, _ in _priced(memo, vals, w, h)), default=math.inf)
+    if hit is not None and (hit[1] or hit[0] > cap):
+        return hit[0]
+    best_v = min((v for v, _, _ in _priced(memo, vals, w, h, cap)), default=math.inf)
+    exact = best_v <= cap
+    if not exact:
+        best_v = math.nextafter(cap, math.inf)
+    memo[k] = (best_v, exact)
     return best_v
+
+
+def _dc_value(vals: list[float], w: float, h: float) -> float:
+    # The total of dc's tiling of the pane, each cut made by the placer's cut
+    # rule as partition_dc makes it, without building its layout; inf where
+    # rounding leaves one of its cuts without a piece.
+    if len(vals) == 1:
+        return w + h
+    b1, b2 = bipartition_two_smallest(vals)
+    ext = cut_extents(w, h, cut_across(w, h), b1.total)
+    if ext is None:
+        return math.inf
+    w1, h1, w2, h2 = ext
+    return _dc_value([vals[i] for i in b1.members], w1, h1) + _dc_value(
+        [vals[i] for i in b2.members], w2, h2
+    )
 
 
 def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
@@ -122,17 +181,22 @@ def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
         # its candidates as the search did, so the optimum recurs; the band
         # is a guard, not a tolerance for memo noise. It must stay narrower
         # than _priced's skip margin, so that no candidate it accepts is
-        # skipped.
-        target = _best(memo, values, w, h)
+        # skipped; under the optimum as the cap, each is priced exactly.
+        target = _best(memo, values, w, h, math.inf)
         if math.isinf(target):
             raise AssertionError(
                 "no guillotine cut of the pane is representable in floating point"
             )
         limit = target + 1e-10 * target
-        for v, mask, cut in _priced(memo, values, w, h):
+        for v, mask, cut in _priced(memo, values, w, h, target):
             if v <= limit:
                 return (cut, math.fsum(_split(values, mask)[0]), *_split(range(len(values)), mask))
         raise AssertionError("memoized optimum could not be reproduced")
 
-    value = _best(memo, sorted(inst.areas, reverse=True), inst.container.w, inst.container.h)
+    vals = sorted(inst.areas, reverse=True)
+    c = inst.container
+    cap = _dc_value(vals, c.w, c.h) * (1 + 1e-9)
+    value = _best(memo, vals, c.w, c.h, cap)
+    if value > cap:
+        value = _best(memo, vals, c.w, c.h, math.inf)
     return value, _place(inst, choose)

@@ -116,6 +116,20 @@ def test_oracle_skips_cuts_without_extent(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("areas", ["[1.0,1e-12]", "[0.9999999999989999,9.99999999999e-13]"])
+def test_oracle_exits_3_where_dc_fails(tmp_path, capsys, areas):
+    # dc cannot cut the first instance, so the search runs without its cap,
+    # and it lays out the second with a pane off its area; the oracle finds
+    # no valid witness for either.
+    inst = tmp_path / "tiny.json"
+    inst.write_bytes(b'{"container": {"width": 1, "height": 1}, "areas": %s}' % areas.encode())
+    out = tmp_path / "oracle.json"
+    assert cli_main(["oracle", "--input", str(inst), "--output", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("internal error:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("algo", ["dc", "mdc"])
 def test_partition_failure_on_valid_instance_is_internal(tmp_path, capsys, algo):
     # A valid instance whose small pane rounding cannot cut off: the
