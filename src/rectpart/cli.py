@@ -13,7 +13,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import IO, Sequence
 
 from .bounds import _report_valid, report
 from .dc import partition_dc
@@ -83,11 +83,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write(path: str | None, data: bytes) -> None:
-    if path is None:
-        sys.stdout.write(data.decode("utf-8"))
-    else:
-        Path(path).write_bytes(data)
+def _stdout_or(path: str | None) -> str | IO[bytes]:
+    """The writers' destination: ``path``, or the binary stdout without one."""
+    if path is not None:
+        return path
+    sys.stdout.flush()
+    return sys.stdout.buffer
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
@@ -101,11 +102,11 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     diag = validate_layout(inst, layout)
     if not diag.ok:
         raise InternalInvariantError(f"produced layout failed validation: {diag}")
-    _write(args.output, serialize_layout(layout, include_tree=bool(args.report)))
+    serialize_layout(layout, include_tree=bool(args.report), dest=_stdout_or(args.output))
     if args.svg:
-        _write(args.svg, render_svg(layout, inst, labels=args.labels))
+        render_svg(layout, inst, labels=args.labels, dest=args.svg)
     if args.report:
-        _write(args.report, report_to_json(_report_valid(inst, layout)))
+        report_to_json(_report_valid(inst, layout), dest=args.report)
     return 0
 
 
@@ -118,14 +119,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         container=Rect(0.0, 0.0, args.width, args.height),
         q=args.q,
     )
-    _write(args.output, serialize_instance(generate(spec)))
+    Path(args.output).write_bytes(serialize_instance(generate(spec)))
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     inst = parse_instance(Path(args.instance).read_bytes())
     layout = parse_layout(Path(args.layout).read_bytes())
-    _write(args.output, report_to_json(report(inst, layout)))
+    report_to_json(report(inst, layout), dest=args.output)
     return 0
 
 
@@ -137,7 +138,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     diag = validate_layout(inst, layout)
     if not diag.ok:
         raise InternalInvariantError(f"oracle witness failed validation: {diag}")
-    _write(args.output, serialize_layout(layout, include_tree=True))
+    serialize_layout(layout, include_tree=True, dest=args.output)
     return 0
 
 

@@ -22,10 +22,17 @@ they are still read, and re-serialize as version 2.
 
 Layout and report documents are written compactly (no indentation or spaces)
 by filling fixed ``%`` templates, in the bytes ``json.dumps`` with compact
-separators would give; the layout writer formats each distinct coordinate
-once. Instance documents keep two-space indentation. Numbers are IEEE-754
-doubles written with Python's shortest round-trip repr (at most 17
-significant digits), so parse(serialize(x)) reproduces x bit for bit.
+separators would give. Each writer builds its document as one sequence of
+encoded chunks of at most :data:`CHUNK` rows (panes, tree nodes or report
+rows): it returns their join, or, given a destination (a path or a binary
+file), writes them there one by one, so no copy of the whole document is
+ever held. The layout writer formats each distinct coordinate of a chunk
+once; with the tree it keeps the leaves' texts from the rects section, which
+comes first, for the tree's leaf nodes. Every refusal runs before the first
+chunk, so a refused document opens no file. Instance documents keep
+two-space indentation. Numbers are IEEE-754 doubles written with Python's
+shortest round-trip repr (at most 17 significant digits), so
+parse(serialize(x)) reproduces x bit for bit.
 Layout and report documents never hold NaN or Infinity, which JSON lacks
 (RFC 8259). The instance format stores extents only and places the
 container at the origin.
@@ -35,11 +42,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from array import array
-from operator import attrgetter
-from typing import Any, Iterable, Sequence
+from itertools import chain
+from typing import IO, Any, Iterable, Iterator, Sequence, Union
 
-from .bounds import QualityReport
+from .bounds import PaneQuality, QualityReport
 from .geometry import (
     Cut,
     Instance,
@@ -53,6 +61,12 @@ from .geometry import (
 
 #: Format version written by :func:`serialize_layout`.
 LAYOUT_VERSION = 2
+
+#: Rows (panes, tree nodes or report rows) a writer formats and encodes at once.
+CHUNK = 1024
+
+#: Where a writer puts its document: a file path, or a binary file open for writing.
+Destination = Union[str, os.PathLike, IO[bytes]]
 
 
 class FileFormatError(ValueError):
@@ -133,11 +147,11 @@ def _finite_text(v: float, what: str) -> str:
     return repr(v)
 
 
-def _pane_bodies(cols: tuple) -> list[str]:
+def _pane_bodies(cols: Sequence[Sequence[float]]) -> list[str]:
     """:data:`_PANE_BODY` filled from four equal coordinate columns of finite
     floats. Each distinct number is formatted once; numbers are keyed by
     their bit pattern, because 0.0 and -0.0 compare equal but print apart."""
-    flat = array("d", cols[0] + cols[1] + cols[2] + cols[3])
+    flat = array("d", chain.from_iterable(cols))
     keys = array("Q", flat.tobytes())
     distinct = dict(zip(keys, flat))
     text = dict(zip(distinct, map(float.__repr__, distinct.values())))
@@ -146,27 +160,56 @@ def _pane_bodies(cols: tuple) -> list[str]:
     return list(map(_PANE_BODY.__mod__, zip(*(texts[k * m : (k + 1) * m] for k in range(4)))))
 
 
-def serialize_layout(layout: Layout, *, include_tree: bool = False) -> bytes:
-    total = _finite_text(layout.total_half_perimeter(), "totalHalfPerimeter")
-    tree = ""
-    if include_tree and layout.nodes is not None:
-        # A leaf's rects entry reuses its node's pane text.
-        bodies = [""] * len(layout.panes[0])
-        nodes = []
-        for k, body in zip(layout.nodes[0], _pane_bodies(layout.nodes[1:])):
-            if isinstance(k, int):
-                bodies[k] = body
-                nodes.append('{"index":%d,"rect":{%s}' % (k, body))
-            else:
-                nodes.append(_CUT_NODE[k] % body)
-        tree = ',"tree":[%s]' % ",".join(nodes)
+def _emit(chunks: Iterator[bytes], dest: Destination | None) -> bytes | None:
+    """The join of ``chunks``, or None once they are written to ``dest``. A
+    path is opened only here, after the writer's refusals have run."""
+    if dest is None:
+        return b"".join(chunks)
+    if hasattr(dest, "write"):
+        dest.writelines(chunks)  # type: ignore[union-attr]
     else:
-        bodies = _pane_bodies(layout.panes)
-    rects = ",".join(map('{"index":%d,%s'.__mod__, enumerate(bodies)))
-    return (
-        '{"version":%d,"rects":[%s],"totalHalfPerimeter":%s%s}\n'
-        % (LAYOUT_VERSION, rects, total, tree)
-    ).encode()
+        with open(dest, "wb") as f:  # type: ignore[arg-type]
+            f.writelines(chunks)
+    return None
+
+
+def _layout_chunks(layout: Layout, total: str, include_tree: bool) -> Iterator[bytes]:
+    nodes = layout.nodes if include_tree else None
+    leaf_bodies: list[str] = []  # a leaf node reuses its rects entry's pane text
+    yield b'{"version":%d,"rects":[' % LAYOUT_VERSION
+    n = len(layout.panes[0])
+    for lo in range(0, n, CHUNK):
+        bodies = _pane_bodies([col[lo : lo + CHUNK] for col in layout.panes])
+        if nodes is not None:
+            leaf_bodies += bodies
+        rows = map('{"index":%d,%s'.__mod__, zip(range(lo, n), bodies))
+        yield ("," * (lo > 0) + ",".join(rows)).encode()
+    yield ('],"totalHalfPerimeter":%s' % total).encode()
+    if nodes is not None:
+        yield b',"tree":['
+        kind = nodes[0]
+        for lo in range(0, len(kind), CHUNK):
+            part = kind[lo : lo + CHUNK]
+            cuts = [i for i, k in enumerate(part, lo) if not isinstance(k, int)]
+            cut_bodies = iter(_pane_bodies([[col[i] for i in cuts] for col in nodes[1:]]))
+            rows = (
+                '{"index":%d,"rect":{%s}' % (k, leaf_bodies[k]) if isinstance(k, int)
+                else _CUT_NODE[k] % next(cut_bodies)
+                for k in part
+            )
+            yield ("," * (lo > 0) + ",".join(rows)).encode()
+        yield b"]"
+    yield b"}\n"
+
+
+def serialize_layout(
+    layout: Layout, *, include_tree: bool = False, dest: Destination | None = None
+) -> bytes | None:
+    """The layout document (with the cut tree when ``include_tree`` and the
+    layout has one) as bytes, or, given ``dest``, written there in chunks,
+    returning None. ValueError if the total half-perimeter is not finite."""
+    total = _finite_text(layout.total_half_perimeter(), "totalHalfPerimeter")
+    return _emit(_layout_chunks(layout, total, include_tree), dest)
 
 
 def _preorder_v1(root: Any) -> list:
@@ -240,26 +283,36 @@ def parse_layout(data: bytes | str) -> Layout:
     return layout
 
 
-_PANE_FIELDS = attrgetter("index", "half_perimeter", "aspect_ratio", "forced")
-
 _PANE_REPORT = '{"index":%d,"halfPerimeter":%r,"aspectRatio":%s,"isForced":%s}'
 
 
-def report_to_json(rep: QualityReport) -> bytes:
-    """The report as a JSON document. An aspect ratio beyond the largest
+def _report_row(p: PaneQuality) -> str:
+    ratio = "null" if p.aspect_ratio == math.inf else repr(p.aspect_ratio)
+    return _PANE_REPORT % (p.index, p.half_perimeter, ratio, "true" if p.forced else "false")
+
+
+def _report_chunks(head: str, rows: Sequence[PaneQuality]) -> Iterator[bytes]:
+    yield head.encode()
+    for lo in range(0, len(rows), CHUNK):
+        yield ("," * (lo > 0) + ",".join(map(_report_row, rows[lo : lo + CHUNK]))).encode()
+    yield b"]}\n"
+
+
+def report_to_json(rep: QualityReport, *, dest: Destination | None = None) -> bytes | None:
+    """The report as a JSON document, as bytes or, given ``dest``, written
+    there in chunks, returning None. An aspect ratio beyond the largest
     double (a pane whose sides differ by more than that factor) is written
     as null, which keeps the document valid JSON; :class:`QualityReport`
     itself keeps ``inf``. Any other number that is not finite raises
     ValueError."""
-    index, half, ratio, forced = tuple(zip(*map(_PANE_FIELDS, rep.per_rect))) or ((),) * 4
-    finite = all(map(math.isfinite, half))
-    if not finite or any(r != math.inf and not math.isfinite(r) for r in ratio):
+    rows = rep.per_rect
+    if not all(math.isfinite(p.half_perimeter) for p in rows) or any(
+        p.aspect_ratio != math.inf and not math.isfinite(p.aspect_ratio) for p in rows
+    ):
         raise ValueError("a per-pane number is not finite, which JSON cannot hold")
-    ratios = ["null" if r == math.inf else repr(r) for r in ratio]
-    flags = ["true" if f else "false" for f in forced]
-    return (
+    head = (
         '{"totalHalfPerimeter":%s,"naiveLowerBound":%s,"forcedAwareLowerBound":%s,'
-        '"approxRatio":%s,"maxAspectRatio":%s,"perRect":[%s]}\n'
+        '"approxRatio":%s,"maxAspectRatio":%s,"perRect":['
         % (
             _finite_text(rep.total_half_perimeter, "totalHalfPerimeter"),
             _finite_text(rep.naive_lower_bound, "naiveLowerBound"),
@@ -267,6 +320,6 @@ def report_to_json(rep: QualityReport) -> bytes:
             _finite_text(rep.approx_ratio, "approxRatio"),
             "null" if rep.max_aspect_ratio == math.inf
             else _finite_text(rep.max_aspect_ratio, "maxAspectRatio"),
-            ",".join(map(_PANE_REPORT.__mod__, zip(index, half, ratios, flags))),
         )
-    ).encode()
+    )
+    return _emit(_report_chunks(head, rows), dest)
