@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .geometry import Cut, Instance, Layout, cut_across, cut_pane
+from .geometry import Cut, Instance, Layout, NodeColumns, cut_across, cut_pane
 from .geometry import split_rect  # noqa: F401  (perfbench's tracer wraps dc.split_rect)
 
 #: Worst-case ratio between the produced total half-perimeter and the best
@@ -145,12 +145,12 @@ Reducer = Callable[[Sequence[float], "ReductionStats | None"], tuple[Block, Bloc
 Choice = tuple[Cut, float, Sequence[int], Sequence[int]]
 
 
-def _place(inst: Instance, choose: Callable[[float, float, list[float]], Choice]) -> Layout:
+def _place(inst: Instance, choose: Callable[[float, float, list[float]], Choice]) -> NodeColumns:
     # The one tree builder. Each job is a pane (x, y, w, h) with its block's
     # area indices, largest area first; choose(w, h, values) picks the cut from
     # their areas and cut_pane makes the pieces. The second piece is pushed
-    # first, so the nodes come out in preorder, one row (kind, x, y, w, h) each,
-    # and no pane object is built. Layout.of_columns checks every pane once.
+    # first, so the nodes come out in preorder as rows (kind, x, y, w, h); it
+    # returns their columns, from which each caller builds its Layout.
     areas = inst.areas
     c = inst.container
     rows: list[tuple] = []
@@ -165,10 +165,10 @@ def _place(inst: Instance, choose: Callable[[float, float, list[float]], Choice]
         first, second = cut_pane(*pane, cut, a1)
         stack.append((second, [indices[i] for i in m2]))
         stack.append((first, [indices[i] for i in m1]))
-    return Layout.of_columns(inst.n, tuple(zip(*rows)))  # type: ignore[arg-type]
+    return tuple(zip(*rows))  # type: ignore[return-value]
 
 
-def _partition(inst: Instance, reduce_to_two: Reducer, stats: ReductionStats | None) -> Layout:
+def _partition(inst: Instance, reduce_to_two: Reducer, stats: ReductionStats | None) -> NodeColumns:
     def choose(w: float, h: float, values: list[float]) -> Choice:
         b1, b2 = reduce_to_two(values, stats)
         return cut_across(w, h), b1.total, b1.members, b2.members
@@ -183,4 +183,4 @@ def partition_dc(inst: Instance, stats: ReductionStats | None = None) -> Layout:
     block of every bipartition (the one with the larger total) takes the
     left piece of a vertical cut or the top piece of a horizontal one.
     """
-    return _partition(inst, bipartition_two_smallest, stats)
+    return Layout.of_columns(inst.n, _partition(inst, bipartition_two_smallest, stats))

@@ -66,4 +66,4 @@ def partition_mdc(inst: Instance, stats: ReductionStats | None = None) -> Layout
     Same placer and cut conventions as :func:`rectpart.dc.partition_dc`;
     only the reduction rule differs.
     """
-    return _partition(inst, _reduce_below_mean, stats)
+    return Layout.of_columns(inst.n, _partition(inst, _reduce_below_mean, stats))

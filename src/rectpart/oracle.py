@@ -50,15 +50,16 @@ candidate costs more than the cap, and the entry, the least double above
 it, is at most the minimum. An inexact entry thus never hides the optimum,
 with the same margins and the same exception as the pruning.
 
-The root's cap is the total of dc's tiling, widened by the margin; the
-search prices that tiling too, up to the rounding of each cut's first area.
-Where one of dc's cuts has no piece, the cap is infinite; where dc's pieces
-are off their areas so that its total falls below the optimum as priced
-here, the root comes back as a bound and is searched again without a cap.
-The witness prices each pane under its optimum as the cap, where the
-search's own limit ends: the candidates the tie band accepts are priced
-exactly from exact entries, no pane is searched again, and the witness is
-the one the search without caps gives.
+The root's cap is the total of dc's own placed tiling, as partition_dc's
+layout totals it, widened by the margin; the search prices that tiling
+too, up to the rounding of each cut's first area. Where one of dc's cuts
+has no piece, the cap is infinite; where dc's pieces are off their areas
+so that its total falls below the optimum as priced here, the root comes
+back as a bound and is searched again without a cap. The witness prices
+each pane under its optimum as the cap, where the search's own limit ends:
+the candidates the tie band accepts are priced exactly from exact entries,
+no pane is searched again, and the witness is the one the search without
+caps gives.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from .dc import _place, bipartition_two_smallest
-from .geometry import Cut, Instance, Layout, cut_across, cut_extents
+from .dc import _partition, _place, bipartition_two_smallest
+from .geometry import Cut, Instance, Layout, cut_extents
 
 
 class OracleSizeError(RuntimeError):
@@ -148,20 +149,14 @@ def _best(memo: Memo, vals: list[float], w: float, h: float, cap: float) -> floa
     return best_v
 
 
-def _dc_value(vals: list[float], w: float, h: float) -> float:
-    # The total of dc's tiling of the pane, each cut made by the placer's cut
-    # rule as partition_dc makes it, without building its layout; inf where
-    # rounding leaves one of its cuts without a piece.
-    if len(vals) == 1:
-        return w + h
-    b1, b2 = bipartition_two_smallest(vals)
-    ext = cut_extents(w, h, cut_across(w, h), b1.total)
-    if ext is None:
+def _dc_total(inst: Instance) -> float:
+    # The total of dc's own placed tiling, summed as its layout sums it; inf
+    # where rounding leaves one of its cuts without a piece.
+    try:
+        kind, _, _, w, h = _partition(inst, bipartition_two_smallest, None)
+    except ValueError:
         return math.inf
-    w1, h1, w2, h2 = ext
-    return _dc_value([vals[i] for i in b1.members], w1, h1) + _dc_value(
-        [vals[i] for i in b2.members], w2, h2
-    )
+    return math.fsum(a + b for k, a, b in zip(kind, w, h) if isinstance(k, int))
 
 
 def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
@@ -195,8 +190,8 @@ def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
 
     vals = sorted(inst.areas, reverse=True)
     c = inst.container
-    cap = _dc_value(vals, c.w, c.h) * (1 + 1e-9)
+    cap = _dc_total(inst) * (1 + 1e-9)
     value = _best(memo, vals, c.w, c.h, cap)
     if value > cap:
         value = _best(memo, vals, c.w, c.h, math.inf)
-    return value, _place(inst, choose)
+    return value, Layout.of_columns(inst.n, _place(inst, choose))

@@ -1,12 +1,13 @@
 """Shared test helpers: readers of a layout's tree columns, a dense
-validation reference, and reference reducers, writers and forced-pane closure
-that the library's must match."""
+validation reference, reference reducers, writers and forced-pane closure
+that the library's must match, and dc in exact arithmetic."""
 
 from __future__ import annotations
 
 import bisect
 import json
 import math
+from fractions import Fraction
 from itertools import chain
 from typing import Any, Sequence
 
@@ -240,6 +241,49 @@ def reference_fold_below_mean(values: list[float], members: list[tuple[int, ...]
         [*values[:pos], value, *values[pos : m - 1]],
         [*members[:pos], merged, *members[pos : m - 1]],
     )
+
+
+def _exact_two_smallest(values: list[Fraction]) -> list[tuple[tuple[int, ...], Fraction]]:
+    # The pairwise rule on exact values: the last two entries merge, and the
+    # sum goes after every entry at least as large, as in dc's fold.
+    entries = [((i,), v) for i, v in enumerate(values)]
+    while len(entries) > 2:
+        (m1, v1), (m2, v2) = entries[-2:]
+        merged = (tuple(sorted(m1 + m2)), v1 + v2)
+        del entries[-2:]
+        pos = sum(1 for _, v in entries if v >= merged[1])
+        entries.insert(pos, merged)
+    return entries
+
+
+def exact_dc(inst) -> tuple[tuple, Fraction]:
+    """dc decided in exact arithmetic: the preorder kind column and the exact
+    total half-perimeter of ``rectpart.partition_dc``'s algorithm run on the
+    rationals of the input doubles (ROADMAP item 17). It keeps the library's
+    stable non-increasing sort, its tie rule (a merged sum goes after equal
+    entries), its cut rule (vertical when the pane is wider than tall) and
+    its remainder piece, but no sum, quotient or comparison rounds."""
+    areas = [Fraction(a) for a in inst.areas]
+    c = inst.container
+    kind: list = []
+    total = Fraction(0)
+    stack = [(Fraction(c.w), Fraction(c.h), sorted(range(len(areas)), key=lambda i: -areas[i]))]
+    while stack:
+        w, h, indices = stack.pop()
+        if len(indices) == 1:
+            kind.append(indices[0])
+            total += w + h
+            continue
+        (m1, a1), (m2, _) = _exact_two_smallest([areas[i] for i in indices])
+        cut = Cut.VERTICAL if w > h else Cut.HORIZONTAL
+        kind.append(cut)
+        if cut is Cut.VERTICAL:
+            first, second = (a1 / h, h), (w - a1 / h, h)
+        else:
+            first, second = (w, a1 / w), (w, h - a1 / w)
+        stack.append((*second, [indices[i] for i in m2]))
+        stack.append((*first, [indices[i] for i in m1]))
+    return tuple(kind), total
 
 
 def _dumps(doc: Any) -> bytes:

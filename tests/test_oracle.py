@@ -62,9 +62,8 @@ def _check_sandwich(inst, max_n=8, forced=True):
     value, witness = rp.optimal_guillotine(inst, max_n=max_n)
     layout = rp.partition_dc(inst)
     dc_total = layout.total_half_perimeter()
-    # the search's cap is dc's total, summed in another order
-    cap = oracle._dc_value(sorted(inst.areas, reverse=True), inst.container.w, inst.container.h)
-    assert cap == pytest.approx(dc_total, rel=1e-12)
+    # the search's cap is the total of dc's own placed tiling, to the bit
+    assert oracle._dc_total(inst) == dc_total
     rep = rp.report(inst, layout)
     if forced:
         assert value >= rep.forced_aware_lower_bound - 1e-9
@@ -187,7 +186,7 @@ def test_root_falls_back_to_the_search_without_a_cap(spec, monkeypatch):
     vals = sorted(inst.areas, reverse=True)
     assert value == oracle._best({}, vals, inst.container.w, inst.container.h, math.inf)
     for total in (math.inf, value * 0.9):
-        monkeypatch.setattr(oracle, "_dc_value", lambda vals, w, h: total)
+        monkeypatch.setattr(oracle, "_dc_total", lambda inst: total)
         assert rp.optimal_guillotine(inst) == (value, witness)
 
 
