@@ -9,12 +9,13 @@ the lexicographically smallest group assignment, then a vertical cut, which
 keeps results reproducible. Non-guillotine partitions are outside the search
 space, so the returned value is the guillotine optimum specifically.
 
-One candidate loop serves the search and the witness. It prices every cut
-through the placer's cut rule (:func:`geometry.cut_extents`), so a cut that
-rounding would leave without a piece is never priced, as no witness could
-make it. The search keeps each pane's cheapest candidate, and the
-partitioners' placer lays out the witness from the first candidate that
-reproduces the memoized optimum.
+One candidate loop prices every cut through the placer's cut rule
+(:func:`geometry.cut_extents`), so a cut that rounding would leave without a
+piece is never priced, as no witness could make it. Each exact memo entry
+keeps its tie band, the candidates within a relative 1e-10 of its minimum,
+and the partitioners' placer lays out the witness from the first candidate
+of each pane's band in that pane's own tie order, so the witness prices
+nothing.
 
 The loop skips a candidate whose lower bound already exceeds the cheapest
 candidate it has priced so far by more than a relative margin of 1e-9. A
@@ -26,11 +27,10 @@ by more than the margin, so a skipped candidate could not have been the
 cheapest, and each exact memo entry is the exact minimum of its state: the
 memo key is the exact state, not a rounding of it, so the entry cannot
 depend on the order in which the search visits states. The skip margin is
-wider than the witness's tie band, so every candidate the witness could
-pick is still priced. Pruning therefore changes neither a value nor a
-witness, except where rounding takes a piece off its area by more than the
-margin; such a witness fails validation anyway, and its value may move in
-the last bits.
+wider than the tie band, so every candidate of a band is priced. Pruning
+therefore changes neither a value nor a witness, except where rounding
+takes a piece off its area by more than the margin; such a witness fails
+validation anyway, and its value may move in the last bits.
 
 Each search also carries a cap. It returns a pane's exact minimum when that
 minimum is at most the cap, and otherwise a lower bound above the cap, which
@@ -55,17 +55,16 @@ layout totals it, widened by the margin; the search prices that tiling
 too, up to the rounding of each cut's first area. Where one of dc's cuts
 has no piece, the cap is infinite; where dc's pieces are off their areas
 so that its total falls below the optimum as priced here, the root comes
-back as a bound and is searched again without a cap. The witness prices
-each pane under its optimum as the cap, where the search's own limit ends:
-the candidates the tie band accepts are priced exactly from exact entries,
-no pane is searched again, and the witness is the one the search without
-caps gives.
+back as a bound and is searched again without a cap. An entry that comes
+back as a bound keeps no band, but every pane the witness visits has one:
+a candidate is kept only when both its children came back within their
+caps, so exact, and the root is exact once the search returns.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .dc import _partition, _place, bipartition_two_smallest
 from .geometry import Cut, Instance, Layout, cut_extents
@@ -75,7 +74,7 @@ class OracleSizeError(RuntimeError):
     """Instance is too large for exhaustive search; raised instead of hanging."""
 
 
-Memo = dict[tuple, tuple[float, bool]]
+Memo = dict[tuple, tuple[float, list[tuple[int, Cut]] | None]]
 
 
 def _split(vals: Sequence, mask: int) -> tuple[list, list]:
@@ -99,16 +98,24 @@ def _lower(vals: list[float], w: float, h: float) -> float:
     return sum(s + a / s if a > s * s else 2.0 * math.sqrt(a) for a in vals)
 
 
-def _priced(
-    memo: Memo, vals: list[float], w: float, h: float, cap: float
-) -> Iterator[tuple[float, int, Cut]]:
-    # (value, mask, cut) of each representable cut of the w x h pane that
-    # may match the cheapest one, if that one costs at most cap, masks
-    # ascending and the vertical cut first, which is the tie order. The cap
-    # starts the limit as a priced candidate would, and each child's cap is
-    # what the limit leaves it, widened by the margin (module docstring). A
-    # value above the limit may rest on a bound, so only exact values are
-    # yielded.
+def _best(memo: Memo, vals: list[float], w: float, h: float, cap: float) -> float:
+    # The exact minimum of the pane if it is at most cap, else a lower bound
+    # above cap. An inexact memo entry answers only caps below it. The loop
+    # runs on the pane as the memo key lies, wider side first, and prices
+    # each representable cut that may match the cheapest one, masks ascending
+    # and the vertical cut first. The cap starts the limit as a priced
+    # candidate would, and each child's cap is what the limit leaves it,
+    # widened by the margin (module docstring). A value above the limit may
+    # rest on a bound, so only values within it are kept.
+    if len(vals) == 1:
+        return w + h
+    if w < h:
+        w, h = h, w
+    k = (tuple(vals), w, h)
+    hit = memo.get(k)
+    if hit is not None and (hit[1] is not None or hit[0] > cap):
+        return hit[0]
+    priced = []
     limit = cap + 1e-9 * cap
     for mask in range(1, 1 << (len(vals) - 1)):
         g1, g2 = _split(vals, mask)
@@ -129,24 +136,14 @@ def _priced(
             if v > limit:
                 continue
             limit = min(limit, v + 1e-9 * v)
-            yield v, mask, cut
-
-
-def _best(memo: Memo, vals: list[float], w: float, h: float, cap: float) -> float:
-    # The exact minimum of the pane if it is at most cap, else a lower bound
-    # above cap. An inexact memo entry answers only caps below it.
-    if len(vals) == 1:
-        return w + h
-    k = (tuple(vals), w, h) if w >= h else (tuple(vals), h, w)
-    hit = memo.get(k)
-    if hit is not None and (hit[1] or hit[0] > cap):
-        return hit[0]
-    best_v = min((v for v, _, _ in _priced(memo, vals, w, h, cap)), default=math.inf)
-    exact = best_v <= cap
-    if not exact:
-        best_v = math.nextafter(cap, math.inf)
-    memo[k] = (best_v, exact)
-    return best_v
+            priced.append((v, mask, cut))
+    best_v = min((v for v, _, _ in priced), default=math.inf)
+    if best_v > cap:
+        memo[k] = (math.nextafter(cap, math.inf), None)
+    else:
+        tie = best_v + 1e-10 * best_v
+        memo[k] = (best_v, [(mask, cut) for v, mask, cut in priced if v <= tie])
+    return memo[k][0]
 
 
 def _dc_total(inst: Instance) -> float:
@@ -172,21 +169,19 @@ def optimal_guillotine(inst: Instance, max_n: int = 8) -> tuple[float, Layout]:
     memo: Memo = {}
 
     def choose(w: float, h: float, values: list[float]):
-        # The memo holds the exact optimum of this pane and the loop prices
-        # its candidates as the search did, so the optimum recurs; the band
-        # is a guard, not a tolerance for memo noise. It must stay narrower
-        # than _priced's skip margin, so that no candidate it accepts is
-        # skipped; under the optimum as the cap, each is priced exactly.
-        target = _best(memo, values, w, h, math.inf)
-        if math.isinf(target):
+        # The pane's exact entry holds its tie band with the cuts as the key
+        # lies, wider side first. The pick follows the pane as it lies here,
+        # masks ascending, then its own vertical cut, by construction rather
+        # than by the order in which the search priced the band.
+        value, band = memo[(tuple(values), w, h) if w >= h else (tuple(values), h, w)]
+        if math.isinf(value):
             raise AssertionError(
                 "no guillotine cut of the pane is representable in floating point"
             )
-        limit = target + 1e-10 * target
-        for v, mask, cut in _priced(memo, values, w, h, target):
-            if v <= limit:
-                return (cut, math.fsum(_split(values, mask)[0]), *_split(range(len(values)), mask))
-        raise AssertionError("memoized optimum could not be reproduced")
+        vertical = Cut.VERTICAL if w >= h else Cut.HORIZONTAL  # this pane's, as the key lies
+        mask, cut = min(band, key=lambda mc: (mc[0], mc[1] is not vertical))
+        cut = Cut.VERTICAL if cut is vertical else Cut.HORIZONTAL
+        return (cut, math.fsum(_split(values, mask)[0]), *_split(range(len(values)), mask))
 
     vals = sorted(inst.areas, reverse=True)
     c = inst.container

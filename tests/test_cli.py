@@ -116,17 +116,31 @@ def test_oracle_skips_cuts_without_extent(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("areas", ["[1.0,1e-12]", "[0.9999999999989999,9.99999999999e-13]"])
-def test_oracle_exits_3_where_dc_fails(tmp_path, capsys, areas):
+@pytest.mark.parametrize(
+    "areas, reason",
+    [
+        pytest.param(areas, reason, id=areas)
+        for areas, reason in [
+            ("[1.0,1e-12]", "no guillotine cut of the pane is representable"),
+            ("[0.9999999999989999,9.99999999999e-13]", "oracle witness failed validation"),
+            (
+                "[0.999999999999997,9.999999999999971e-16,9.999999999999971e-16,9.999999999999971e-16]",
+                "oracle witness failed validation",
+            ),
+        ]
+    ],
+)
+def test_oracle_exits_3_where_dc_fails(tmp_path, capsys, areas, reason):
     # dc cannot cut the first instance, so the search runs without its cap,
-    # and it lays out the second with a pane off its area; the oracle finds
-    # no valid witness for either.
+    # and it lays out the second with a pane off its area; the third is
+    # [1e6, 1e-9 x3] normalized, whose optimum's witness has a pane off its
+    # area too (ROADMAP item 4). The oracle finds no valid witness for any.
     inst = tmp_path / "tiny.json"
     inst.write_bytes(b'{"container": {"width": 1, "height": 1}, "areas": %s}' % areas.encode())
     out = tmp_path / "oracle.json"
     assert cli_main(["oracle", "--input", str(inst), "--output", str(out)]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("internal error:")
+    assert len(err) == 1 and err[0].startswith("internal error:") and reason in err[0]
     assert not out.exists()
 
 

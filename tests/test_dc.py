@@ -145,6 +145,11 @@ ITEM_4 = [
         )),
         id="mdc-uniform-3000",
     ),
+    pytest.param(
+        lambda inst: rp.optimal_guillotine(inst)[1],
+        lambda: _unit_square([1e6, 1e-9, 1e-9, 1e-9], normalize=True),
+        id="oracle-dominant-and-tiny",
+    ),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rectpart as rp
-from rectpart import oracle
+from rectpart import dc, oracle
 from rectpart.geometry import cut_extents
 
 
@@ -141,13 +141,36 @@ def _plain_optimum(vals, w, h):
     return best
 
 
+def _plain_choose(w, h, values):
+    # The witness's tie rule on the plain enumeration: the first candidate
+    # within 1e-10 of the pane's minimum, masks ascending, then the vertical
+    # cut of the pane as it lies.
+    priced = []
+    for mask in range(1, 1 << (len(values) - 1)):
+        m2 = [j for j in range(1, len(values)) if (mask >> (j - 1)) & 1]
+        m1 = [j for j in range(len(values)) if j not in m2]
+        g1, g2 = [values[j] for j in m1], [values[j] for j in m2]
+        a1 = math.fsum(g1)
+        for cut in (rp.Cut.VERTICAL, rp.Cut.HORIZONTAL):
+            ext = cut_extents(w, h, cut, a1)
+            if ext is not None:
+                w1, h1, w2, h2 = ext
+                v = _plain_optimum(g1, w1, h1) + _plain_optimum(g2, w2, h2)
+                priced.append((v, (cut, a1, m1, m2)))
+    best = min(v for v, _ in priced)
+    return next(choice for v, choice in priced if v <= best + 1e-10 * best)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from([(1, 1), (2, 1), (1, 3)]),
+    st.sampled_from([(1, 1), (2, 1), (1, 3), (2, 2.5)]),
     st.one_of(
         st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5),
         st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=2, max_size=5),
         st.lists(st.sampled_from([1.0, 1.0, 2.0, 4.0]), min_size=2, max_size=5),
+        st.lists(st.just(1.0), min_size=2, max_size=5),
+        st.lists(st.sampled_from([0.1, 0.2, 0.1 + 0.2]), min_size=2, max_size=5),
+        st.lists(st.sampled_from([1 / 3, 2 / 3, 1.0]), min_size=2, max_size=5),
     ),
 )
 def test_pruned_search_matches_plain_enumeration(extent, raw):
@@ -158,6 +181,9 @@ def test_pruned_search_matches_plain_enumeration(extent, raw):
     assert value == pytest.approx(plain, rel=1e-12)
     assert rp.validate_layout(inst, witness).ok
     assert witness.total_half_perimeter() == pytest.approx(value, abs=1e-9)
+    # The memo's tie bands pick the cuts the plain enumeration's tie rule
+    # picks, pane by pane.
+    assert witness == rp.Layout.of_columns(inst.n, dc._place(inst, _plain_choose))
     # A cap at or above the optimum gets it exactly; one below it gets a
     # bound in (cap, optimum], each from a fresh memo.
     vals = sorted(inst.areas, reverse=True)
