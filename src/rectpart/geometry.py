@@ -12,9 +12,10 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Relative tolerance for all area bookkeeping (per-pane and totals).
 REL_TOL = 1e-9
@@ -488,6 +489,8 @@ class LayoutDiagnostics:
 def _sweep_candidates(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable order of the panes by ``lo``, and each sorted pane's number of
     later panes whose ``lo`` lies below its ``hi``."""
+    import numpy as np
+
     order = np.argsort(lo, kind="stable")
     lo_sorted = lo[order]
     stop = np.searchsorted(lo_sorted, hi[order], side="left")
@@ -510,6 +513,8 @@ def _overlapping_pairs(
     ``clip(min(x2) - max(x)) * clip(min(y2) - max(y)) > limit``, so each
     decision is the same float computation as a full n x n test.
     """
+    import numpy as np
+
     order, cnt = _sweep_candidates(x, x2)
     cross_lo, cross_hi = y, y2
     order_y, cnt_y = _sweep_candidates(y, y2)
@@ -565,7 +570,12 @@ def validate_layout(inst: Instance, layout: Layout) -> LayoutDiagnostics:
     O(n log n + k) time for k candidate pairs and O(n) memory beyond a
     fixed-size chunk. ``overlaps`` lists the offending pairs ``(i, j)``,
     ``i < j``, in lexicographic order.
+
+    numpy loads here, at the first call, so ``import rectpart`` does not
+    load it.
     """
+    import numpy as np
+
     n = inst.n
     if len(layout.panes[0]) != n:
         raise ValueError(f"layout carries {len(layout.panes[0])} rects for {n} areas")

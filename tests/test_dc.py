@@ -127,8 +127,7 @@ def _unit_square(areas, normalize=False):
 
 
 #: ROADMAP item 4's open failures: the remainder piece of each cut takes the
-#: whole rounding error, so one pane ends off its area. Geometric instances
-#: are left out, as their powers may differ between CPUs (ROADMAP item 16).
+#: whole rounding error, so one pane ends off its area.
 ITEM_4 = [
     pytest.param(rp.partition_dc, lambda: _unit_square([0.5, 0.5000000005]), id="dc-sum-above"),
     pytest.param(rp.partition_mdc, lambda: _unit_square([0.5, 0.5000000005]), id="mdc-sum-above"),

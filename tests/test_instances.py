@@ -1,8 +1,79 @@
+import hashlib
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rectpart as rp
+from rectpart import instances
+
+#: Seeds at the edges of the 32- and 64-bit words, plus 20 drawn ones.
+PCG_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + [
+    random.Random(2014).getrandbits(64) for _ in range(20)
+]
+
+
+@pytest.mark.parametrize("seed", PCG_SEEDS)
+def test_draws_are_numpys_pcg64(seed):
+    want = np.random.Generator(np.random.PCG64(seed)).random(1000)
+    assert instances._random(seed, 1000) == want.tolist()
+
+
+@pytest.mark.parametrize("family, q", [("uniform", 0.5), ("geometric", 1), ("geometric", 0.97)])
+@pytest.mark.parametrize("seed", PCG_SEEDS)
+def test_generate_matches_a_numpy_reference(family, q, seed):
+    # The same instance from numpy's draws and sum: uniform is what numpy
+    # drew, and geometric jitters a running product with numpy's uniform(),
+    # so at q=1 its raw terms are uniform()'s draws themselves.
+    n, container = 500, rp.Rect(0, 0, 3, 2)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if family == "uniform":
+        raw = 1.0 - rng.random(n)
+    else:
+        raw = np.multiply.accumulate(np.full(n, float(q))) * rng.uniform(0.9, 1.1, n)
+    want = tuple(float(v) / float(raw.sum()) * container.area for v in raw)
+    spec = rp.GenSpec(n=n, family=family, seed=seed, container=container, q=q)
+    assert rp.generate(spec).areas == want
+
+
+def test_sum_is_numpys_pairwise_sum():
+    for n in [*range(1, 301), 8191, 8192, 8193, 65536, 100000]:
+        raw = 1.0 - np.random.Generator(np.random.PCG64(n)).random(n)
+        assert instances._pairwise_sum(raw.tolist(), 0, n) == float(raw.sum()), n
+
+
+def test_geometric_bits_are_pinned():
+    # sha256 over float.hex of every area: fails on any machine where the
+    # draws, the running product or the sum drift.
+    h = hashlib.sha256()
+    for q, n in ((0.3, 618), (0.6, 1400), (0.99, 3000)):
+        for seed in (1, 2, 3):
+            spec = rp.GenSpec(n=n, family="geometric", seed=seed, container=rp.Rect(0, 0, 1, 1), q=q)
+            for a in rp.generate(spec).areas:
+                h.update(a.hex().encode() + b"\n")
+    assert h.hexdigest() == "bd84fbee2871be5bcc8cd4110bad01ccea9032f133794bf85f341f12d8718367"
+
+
+def test_import_and_gen_load_no_numpy(tmp_path):
+    # numpy loads only when a layout is validated: importing the library and
+    # its CLI, and generating an instance, leave it out of a fresh interpreter.
+    src = str(Path(rp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, rectpart, rectpart.cli\n"
+        "assert rectpart.cli.cli_main(['gen', '--n', '50', '--family', 'geo', '--seed', '1',"
+        " '--width', '1', '--height', '1', '--output', sys.argv[1]]) == 0\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)\n"
+    )
+    out = tmp_path / "inst.json"
+    run = subprocess.run([sys.executable, "-c", code, str(out)], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert rp.parse_instance(out.read_bytes()).n == 50
 
 
 def test_single_area_equals_container_area():
