@@ -20,19 +20,19 @@ nesting depth does not depend on the tree's depth. Version 1 documents (no
 "version" key) nest the tree as ``{"cut", "rect", "left", "right"}`` objects;
 they are still read, and re-serialize as version 2.
 
-Layout and report documents are written compactly (no indentation or spaces)
-by filling fixed ``%`` templates, in the bytes ``json.dumps`` with compact
-separators would give. Each writer builds its document as one sequence of
+Every document is written by filling fixed ``%`` templates, in the bytes
+the standard ``json`` encoder gives: layout and report documents compactly
+(no indentation or spaces), instance documents with two-space indentation.
+Each number becomes text one way, by its ``repr`` (``float.__repr__``):
+Python's shortest round-trip repr, at most 17 significant digits, with
+``-0.0`` keeping its sign. So parse(serialize(x)) reproduces x bit for bit.
+The layout and report writers build their documents as one sequence of
 encoded chunks of at most :data:`CHUNK` rows (panes, tree nodes or report
-rows): it returns their join, or, given a destination (a path or a binary
+rows): each returns their join, or, given a destination (a path or a binary
 file), writes them there one by one, so no copy of the whole document is
-ever held. The layout writer formats each distinct coordinate of a chunk
-once; with the tree it keeps the leaves' texts from the rects section, which
-comes first, for the tree's leaf nodes. Every refusal runs before the first
-chunk, so a refused document opens no file. Instance documents keep
-two-space indentation. Numbers are IEEE-754 doubles written with Python's
-shortest round-trip repr (at most 17 significant digits), so
-parse(serialize(x)) reproduces x bit for bit.
+ever held. With the tree, the layout writer keeps the leaves' texts from the
+rects section, which comes first, for the tree's leaf nodes. Every refusal
+runs before the first chunk, so a refused document opens no file.
 Layout and report documents never hold NaN or Infinity, which JSON lacks
 (RFC 8259). The instance format stores extents only and places the
 container at the origin.
@@ -43,8 +43,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from array import array
-from itertools import chain
 from typing import IO, Any, Iterable, Iterator, Sequence, Union
 
 from .bounds import PaneQuality, QualityReport
@@ -117,14 +115,18 @@ def parse_instance(data: bytes | str, *, normalize: bool = False) -> Instance:
         raise FileFormatError(where + str(e)) from e
 
 
+#: The instance document: two-space indentation, one area a line.
+_INSTANCE = (
+    '{\n  "container": {\n    "width": %r,\n    "height": %r\n  },\n'
+    '  "areas": [\n    %s\n  ]\n}\n'
+)
+
+
 def serialize_instance(inst: Instance) -> bytes:
-    if inst.container.x != 0.0 or inst.container.y != 0.0:
+    c = inst.container
+    if c.x != 0.0 or c.y != 0.0:
         raise FileFormatError("the instance format places the container at the origin")
-    doc = {
-        "container": {"width": inst.container.w, "height": inst.container.h},
-        "areas": list(inst.areas),
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return (_INSTANCE % (c.w, c.h, ",\n    ".join(map(float.__repr__, inst.areas)))).encode()
 
 
 def _pane_from_obj(obj: Any, what: str) -> Pane:
@@ -135,29 +137,16 @@ def _pane_from_obj(obj: Any, what: str) -> Pane:
     return _numbers(pane, map(f"{what}.{{}}".format, ("x", "y", "width", "height")))
 
 
-#: A pane's JSON members and closing brace, written once per tree node.
-_PANE_BODY = '"x":%s,"y":%s,"width":%s,"height":%s}'
+#: A pane's JSON members and closing brace, filled in a rects entry and in a cut node.
+_PANE_BODY = '"x":%r,"y":%r,"width":%r,"height":%r}'
 
-_CUT_NODE = {cut: '{"cut":"' + cut.value + '","rect":{%s}' for cut in Cut}
+_CUT_NODE = {cut: '{"cut":"%s","rect":{%s}' % (cut.value, _PANE_BODY) for cut in Cut}
 
 
 def _finite_text(v: float, what: str) -> str:
     if not math.isfinite(v):
         raise ValueError(f"{what} is {v!r}, which JSON cannot hold")
     return repr(v)
-
-
-def _pane_bodies(cols: Sequence[Sequence[float]]) -> list[str]:
-    """:data:`_PANE_BODY` filled from four equal coordinate columns of finite
-    floats. Each distinct number is formatted once; numbers are keyed by
-    their bit pattern, because 0.0 and -0.0 compare equal but print apart."""
-    flat = array("d", chain.from_iterable(cols))
-    keys = array("Q", flat.tobytes())
-    distinct = dict(zip(keys, flat))
-    text = dict(zip(distinct, map(float.__repr__, distinct.values())))
-    texts = list(map(text.__getitem__, keys))
-    m = len(cols[0])
-    return list(map(_PANE_BODY.__mod__, zip(*(texts[k * m : (k + 1) * m] for k in range(4)))))
 
 
 def _emit(chunks: Iterator[bytes], dest: Destination | None) -> bytes | None:
@@ -179,7 +168,7 @@ def _layout_chunks(layout: Layout, total: str, include_tree: bool) -> Iterator[b
     yield b'{"version":%d,"rects":[' % LAYOUT_VERSION
     n = len(layout.panes[0])
     for lo in range(0, n, CHUNK):
-        bodies = _pane_bodies([col[lo : lo + CHUNK] for col in layout.panes])
+        bodies = list(map(_PANE_BODY.__mod__, zip(*(col[lo : lo + CHUNK] for col in layout.panes))))
         if nodes is not None:
             leaf_bodies += bodies
         rows = map('{"index":%d,%s'.__mod__, zip(range(lo, n), bodies))
@@ -187,15 +176,11 @@ def _layout_chunks(layout: Layout, total: str, include_tree: bool) -> Iterator[b
     yield ('],"totalHalfPerimeter":%s' % total).encode()
     if nodes is not None:
         yield b',"tree":['
-        kind = nodes[0]
-        for lo in range(0, len(kind), CHUNK):
-            part = kind[lo : lo + CHUNK]
-            cuts = [i for i, k in enumerate(part, lo) if not isinstance(k, int)]
-            cut_bodies = iter(_pane_bodies([[col[i] for i in cuts] for col in nodes[1:]]))
+        for lo in range(0, len(nodes[0]), CHUNK):
             rows = (
                 '{"index":%d,"rect":{%s}' % (k, leaf_bodies[k]) if isinstance(k, int)
-                else _CUT_NODE[k] % next(cut_bodies)
-                for k in part
+                else _CUT_NODE[k] % (x, y, w, h)
+                for k, x, y, w, h in zip(*(col[lo : lo + CHUNK] for col in nodes))
             )
             yield ("," * (lo > 0) + ",".join(rows)).encode()
         yield b"]"

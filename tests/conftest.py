@@ -14,7 +14,7 @@ from typing import Any, Sequence
 import numpy as np
 from hypothesis import strategies as st
 
-from rectpart import Cut, GenSpec, Layout, Rect, generate
+from rectpart import Cut, GenSpec, Instance, Layout, Rect, generate
 from rectpart.bounds import QualityReport
 from rectpart.dc import Block, ReductionStats
 from rectpart.fileio import LAYOUT_VERSION
@@ -312,6 +312,16 @@ def reference_serialize_layout(layout: Layout, *, include_tree: bool = False) ->
             for k, *pane in zip(*layout.nodes)
         ]
     return _dumps(doc)
+
+
+def reference_serialize_instance(inst: Instance) -> bytes:
+    """Reference for :func:`rectpart.serialize_instance`: the document built
+    as dicts and written by ``json.dumps`` with two-space indentation."""
+    doc = {
+        "container": {"width": inst.container.w, "height": inst.container.h},
+        "areas": list(inst.areas),
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
 def _ratio(r: float) -> float | None:

@@ -179,12 +179,14 @@ def test_criterion_6_quadratic_scaling():
             t0 = time.perf_counter()
             rp.partition_dc(insts[n])
             times[n].append(time.perf_counter() - t0)
-    ratio = statistics.median(times[2000]) / statistics.median(times[1000])
+    t1000, t2000 = statistics.median(times[1000]), statistics.median(times[2000])
+    ratio = t2000 / t1000
     ok = 2.5 <= ratio <= 6.0
     _conclude(
         "6 quadratic scaling smoke test",
         ok,
-        f"median t(2000)/t(1000) = {ratio:.2f}, band [2.5, 6.0]",
+        f"median t(2000)/t(1000) = {ratio:.2f}, band [2.5, 6.0]; "
+        f"t(1000) = {t1000 * 1e3:.1f} ms, t(2000) = {t2000 * 1e3:.1f} ms",
     )
 
 

@@ -126,6 +126,12 @@ def _unit_square(areas, normalize=False):
     return rp.make_instance(rp.Rect(0, 0, 1, 1), areas, normalize=normalize)
 
 
+def _geometric(q, n, seed):
+    return rp.generate(
+        rp.GenSpec(n=n, family="geometric", q=q, seed=seed, container=rp.Rect(0, 0, 1, 1))
+    )
+
+
 #: ROADMAP item 4's open failures: the remainder piece of each cut takes the
 #: whole rounding error, so one pane ends off its area.
 ITEM_4 = [
@@ -148,6 +154,23 @@ ITEM_4 = [
         lambda inst: rp.optimal_guillotine(inst)[1],
         lambda: _unit_square([1e6, 1e-9, 1e-9, 1e-9], normalize=True),
         id="oracle-dominant-and-tiny",
+    ),
+    # ROADMAP item 19: the generator's own geometric family in the unit square.
+    # At q=0.3, n=16 each leaves pane 15 off its area (seeds 1 and 2 pass).
+    *(
+        pytest.param(
+            partition, lambda seed=seed: _geometric(0.3, 16, seed), id=f"{name}-geo0.3-n16-s{seed}"
+        )
+        for name, partition in (("dc", rp.partition_dc), ("mdc", rp.partition_mdc))
+        for seed in range(3, 11)
+    ),
+    # mdc at q=0.7, n=512: seed 1 raises ValueError in cut_pane, and seeds 2
+    # and 3 leave panes 82 and 44 off their areas.
+    *(
+        pytest.param(
+            rp.partition_mdc, lambda seed=seed: _geometric(0.7, 512, seed), id=f"mdc-geo0.7-n512-s{seed}"
+        )
+        for seed in (1, 2, 3)
     ),
 ]
 
