@@ -59,21 +59,35 @@ def test_geometric_bits_are_pinned():
     assert h.hexdigest() == "bd84fbee2871be5bcc8cd4110bad01ccea9032f133794bf85f341f12d8718367"
 
 
-def test_import_and_gen_load_no_numpy(tmp_path):
-    # numpy loads only when a layout is validated: importing the library and
-    # its CLI, and generating an instance, leave it out of a fresh interpreter.
+def test_import_and_every_command_load_no_numpy(tmp_path):
+    # No part of the library needs numpy: importing it and its CLI, then
+    # generating an instance, partitioning it with a report and an SVG,
+    # evaluating the layout and running the oracle leave numpy out of a
+    # fresh interpreter.
     src = str(Path(rp.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys, rectpart, rectpart.cli\n"
-        "assert rectpart.cli.cli_main(['gen', '--n', '50', '--family', 'geo', '--seed', '1',"
-        " '--width', '1', '--height', '1', '--output', sys.argv[1]]) == 0\n"
-        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)\n"
+        "d = sys.argv[1]\n"
+        "for argv in (\n"
+        "    ['gen', '--n', '50', '--family', 'geo', '--seed', '1', '--width', '1', '--height', '1',\n"
+        "     '--output', d + '/inst.json'],\n"
+        "    ['partition', '--algo', 'dc', '--input', d + '/inst.json', '--output', d + '/layout.json',\n"
+        "     '--report', d + '/report.json', '--svg', d + '/layout.svg'],\n"
+        "    ['eval', '--instance', d + '/inst.json', '--layout', d + '/layout.json', '--output', d + '/eval.json'],\n"
+        "    ['gen', '--n', '6', '--family', 'uniform', '--seed', '1', '--width', '1', '--height', '1',\n"
+        "     '--output', d + '/small.json'],\n"
+        "    ['oracle', '--input', d + '/small.json', '--output', d + '/witness.json'],\n"
+        "):\n"
+        "    assert rectpart.cli.cli_main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, (argv[0], sorted(m for m in sys.modules if 'numpy' in m))\n"
     )
-    out = tmp_path / "inst.json"
-    run = subprocess.run([sys.executable, "-c", code, str(out)], env=env, capture_output=True, text=True, timeout=60)
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert rp.parse_instance(out.read_bytes()).n == 50
+    assert rp.parse_instance((tmp_path / "inst.json").read_bytes()).n == 50
+    assert (tmp_path / "report.json").read_bytes() == (tmp_path / "eval.json").read_bytes()
+    assert (tmp_path / "layout.svg").stat().st_size > 0
+    assert rp.parse_layout((tmp_path / "witness.json").read_bytes()).tree is not None
 
 
 def test_single_area_equals_container_area():
