@@ -6,15 +6,16 @@ totals, and treats both pieces the same way; an explicit stack replaces the
 paper's recursion, so chains of any depth lay out. A reduction rule only says
 where the working list's tail starts (here: at the last two entries). One fold,
 shared by both rules, replaces the tail with one entry, its sum, reinserted
-where the list stays sorted; the entry's id lists the tail's ids, so ids nest
-into one merge forest. Once two entries remain, each is expanded once into
-its ascending member positions.
+where the list stays sorted, and rewrites the list only from that point on;
+the entry's id lists the tail's ids, so ids nest into one merge forest. Once
+two entries remain, each is expanded once into its ascending member positions.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -53,11 +54,14 @@ class ReductionStats:
     ``iterations`` counts loop passes actually spent. ``pairwise_equivalent``
     accumulates length - 2 per bipartition, which is what the pairwise rule
     spends on a list of that length no matter its content; for the pairwise
-    rule itself the two counters always agree.
+    rule itself the two counters always agree. ``rewritten`` sums, over the
+    folds, the entries from the sum's insertion point to the end of the list
+    the fold is handed: the reduction's list work, counted exactly.
     """
 
     iterations: int = 0
     pairwise_equivalent: int = 0
+    rewritten: int = 0
 
 
 def sort_descending(areas: Sequence[float]) -> tuple[list[float], list[int]]:
@@ -67,11 +71,11 @@ def sort_descending(areas: Sequence[float]) -> tuple[list[float], list[int]]:
     return [areas[i] for i in perm], perm
 
 
-def _insertion_point(values: list[float], value: float) -> int:
-    # Position in a non-increasing list; ties land after the existing equal
-    # entries, so older blocks stay first. The ascending view costs a full
-    # copy but keeps the search itself in C.
-    return len(values) - bisect.bisect_left(values[::-1], value)
+def _insertion_point(values: list[float], value: float, hi: int | None = None) -> int:
+    # Position in the non-increasing values[:hi]; ties land after the existing
+    # equal entries, so older blocks stay first. The negated entries ascend,
+    # so the search runs in C on the list itself, with no copy.
+    return bisect.bisect_right(values, -value, 0, hi, key=operator.neg)
 
 
 def _two_smallest(values: list[float]) -> int:
@@ -79,14 +83,18 @@ def _two_smallest(values: list[float]) -> int:
     return len(values) - 2
 
 
-def _fold(values: list[float], ids: list, s: int) -> tuple[list[float], list]:
-    # The one fold of both rules: the tail from s becomes one entry, its sum,
-    # whose id is the list of the tail's ids, reinserted where the list stays
-    # sorted. fsum of two floats is their rounded + but raises on overflow.
+def _fold(values: list[float], ids: list, s: int) -> int:
+    # The one fold of both rules, in place on lists the caller owns: the tail
+    # from s becomes one entry, its sum, whose id is the list of the tail's
+    # ids, reinserted where the list stays sorted. Only the suffix from that
+    # point is rewritten; returns how many entries it held. fsum of two floats
+    # is their rounded + but raises on overflow, before either list changes.
     value = math.fsum(values[s:])
-    rest = values[:s]
-    pos = _insertion_point(rest, value)
-    return rest[:pos] + [value] + rest[pos:], ids[:pos] + [ids[s:]] + ids[pos:s]
+    pos = _insertion_point(values, value, s)
+    rewritten = len(values) - pos
+    values[pos:] = [value, *values[pos:s]]
+    ids[pos:] = [ids[s:], *ids[pos:s]]
+    return rewritten
 
 
 def _reduce(
@@ -102,9 +110,10 @@ def _reduce(
     values = list(sorted_areas)
     ids: list = list(range(len(values)))
     while len(values) > 2:
-        values, ids = _fold(values, ids, rule(values))
+        rewritten = _fold(values, ids, rule(values))
         if stats is not None:
             stats.iterations += 1
+            stats.rewritten += rewritten
     return Block(_members(ids[0]), values[0]), Block(_members(ids[1]), values[1])
 
 

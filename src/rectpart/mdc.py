@@ -49,8 +49,9 @@ def mdc_reduce_step(
     if len(blocks) != len(sorted_areas):
         raise ValueError(f"{len(blocks)} blocks for {len(sorted_areas)} entries")
     values = list(sorted_areas)
+    ids = list(range(len(values)))
     s = _below_mean(values)
-    values, ids = _fold(values, list(range(len(values))), s)
+    _fold(values, ids, s)
     merged = tuple(sorted(chain.from_iterable(b.members for b in blocks[s:])))
     members = [merged if isinstance(i, list) else blocks[i].members for i in ids]
     return values, [Block(m, v) for m, v in zip(members, values)]

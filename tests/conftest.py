@@ -191,7 +191,7 @@ def column_layouts(draw, tree=st.booleans()):
 
 def reference_reduce(step, sorted_areas: Sequence[float], stats: ReductionStats | None):
     """Reference for ``rectpart.dc._reduce``: each step carries every
-    entry's members as a sorted tuple."""
+    entry's members as a sorted tuple, and returns new lists."""
     # Both rules reduce here; each step must shorten both lists by at least one.
     if len(sorted_areas) < 2:
         raise ValueError("need at least two areas to bipartition")
@@ -200,9 +200,14 @@ def reference_reduce(step, sorted_areas: Sequence[float], stats: ReductionStats 
     values = list(sorted_areas)
     members: list[tuple[int, ...]] = [(i,) for i in range(len(values))]
     while len(values) > 2:
-        values, members = step(values, members)
+        values, kept = step(values, members)
         if stats is not None:
             stats.iterations += 1
+            # The merged tuple is new and every entry before it is kept, so
+            # the fold rewrote the list from the first member that differs.
+            pos = next(i for i, (a, b) in enumerate(zip(kept, members)) if a != b)
+            stats.rewritten += len(members) - pos
+        members = kept
     return Block(members[0], values[0]), Block(members[1], values[1])
 
 

@@ -98,6 +98,23 @@ def test_reduction_stats_counts_top_level():
     stats = ReductionStats()
     rp.bipartition_two_smallest([5.0, 4.0, 3.0, 2.0, 1.0], stats)
     assert stats.iterations == 3
+    # 2+1 goes after 3, rewriting [2, 1]; 3+3 and then 5+4 go first.
+    assert stats.rewritten == 2 + 4 + 3
+
+
+@pytest.mark.parametrize("family", ["uniform", "geometric"])
+def test_fold_work_is_at_most_quadratic(family):
+    # The paper's O(n^2) as a ceiling on the exact list work, with no timing
+    # noise: doubling n may multiply it by at most 4, plus a margin. A
+    # q=0.5 chain is about n cuts deep, so each merge may copy only what its
+    # sum moves past, not the whole list.
+    def work(n):
+        stats = ReductionStats()
+        spec = rp.GenSpec(n=n, family=family, seed=n, container=rp.Rect(0, 0, 1, 1), q=0.5)
+        rp.partition_dc(rp.generate(spec), stats)
+        return stats.rewritten
+
+    assert work(1000) <= 4 * 1.15 * work(500)
 
 
 def _stack_depth():

@@ -40,7 +40,9 @@ def test_reducers_match_tuple_reference(values):
         (_reduce_below_mean, reference_fold_below_mean),
     ):
         stats, want_stats = ReductionStats(), ReductionStats()
+        before = list(values)
         got = reduce_to_two(values, stats)
+        assert values == before  # the fold works on a copy, not on the caller's list
         assert got == reference_reduce(step, values, want_stats)
         assert stats == want_stats
 
@@ -65,7 +67,9 @@ def test_reduce_step_matches_tuple_reference(case):
     want_values, want_members = reference_fold_below_mean(
         list(values), [b.members for b in blocks]
     )
+    before = list(values)
     got_values, got_blocks = rp.mdc_reduce_step(values, blocks)
+    assert values == before  # the fold works on a copy, not on the caller's list
     assert got_values == want_values
     assert got_blocks == [Block(m, v) for m, v in zip(want_members, want_values)]
 
