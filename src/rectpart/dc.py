@@ -3,19 +3,24 @@
 The driver sorts the target areas once (non-increasing), reduces the working
 list to two compound blocks, cuts the rectangle in proportion to the two block
 totals, and treats both pieces the same way; an explicit stack replaces the
-paper's recursion, so chains of any depth lay out. A reduction rule only says
-where the working list's tail starts (here: at the last two entries). One fold,
-shared by both rules, replaces the tail with one entry, its sum, reinserted
-where the list stays sorted, and rewrites the list only from that point on;
-the entry's id lists the tail's ids, so ids nest into one merge forest. Once
-two entries remain, each is expanded once into its ascending member positions.
+paper's recursion, so chains of any depth lay out. The reduction keeps the
+working list reversed, so it ascends and every search is a plain bisect. A
+reduction rule says how many of the smallest entries form the tail and what
+they sum to. The pairwise rule takes the two smallest, and since pairwise sums
+never decrease (van Leeuwen 1976), it goes on taking the next entry while the
+newest sum stays one of the two smallest: a run of merges whose order is fixed
+before the list changes, each sum rounded as a single merge rounds it. One
+fold, shared by both rules, replaces the tail with one entry, its sum,
+reinserted where the list stays sorted, and rewrites the list only up to that
+point; the entry's id lists the tail's ids, so ids nest into one merge forest.
+Once two entries remain, each is expanded once into its ascending member
+positions; when one of them is a single input, the other holds the rest.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -51,12 +56,17 @@ class Block:
 class ReductionStats:
     """Mutable counters for comparing the two reduction rules.
 
-    ``iterations`` counts loop passes actually spent. ``pairwise_equivalent``
-    accumulates length - 2 per bipartition, which is what the pairwise rule
-    spends on a list of that length no matter its content; for the pairwise
-    rule itself the two counters always agree. ``rewritten`` sums, over the
-    folds, the entries from the sum's insertion point to the end of the list
-    the fold is handed: the reduction's list work, counted exactly.
+    ``iterations`` counts merges: every pairwise merge of the pairwise rule,
+    though it folds a run of them in one step, and every fold of the mean
+    rule. ``pairwise_equivalent`` accumulates length - 2 per bipartition,
+    which is what the pairwise rule spends on a list of that length no matter
+    its content; for the pairwise rule itself the two counters always agree.
+    ``rewritten`` sums, over the merges, what a fold of that merge alone
+    rewrites: its tail's entries plus the entries its sum moves past. For the
+    mean rule that is its list work exactly; for the pairwise rule, whose run
+    of merges rewrites the list once, it is an upper bound on the entries
+    copied. Neither counts the one move that shifts the untouched rest of the
+    list down.
     """
 
     iterations: int = 0
@@ -71,57 +81,89 @@ def sort_descending(areas: Sequence[float]) -> tuple[list[float], list[int]]:
     return [areas[i] for i in perm], perm
 
 
-def _insertion_point(values: list[float], value: float, hi: int | None = None) -> int:
-    # Position in the non-increasing values[:hi]; ties land after the existing
-    # equal entries, so older blocks stay first. The negated entries ascend,
-    # so the search runs in C on the list itself, with no copy.
-    return bisect.bisect_right(values, -value, 0, hi, key=operator.neg)
+def _two_smallest(values: list[float], stats: ReductionStats | None) -> tuple[int, float]:
+    # The pairwise rule, a run of merges at a time. While the newest sum is at
+    # most the second smallest remaining entry (ties land before it), it is
+    # one of the two smallest, so the next merge takes it with the smallest
+    # remaining entry: the tail grows by that entry, added with the same
+    # rounding as the merge's own sum. The run stops where the list would
+    # reach two entries.
+    e, last = 2, len(values) - 1
+    total = values[0] + values[1]
+    while e < last and total <= values[e + 1]:
+        total += values[e]
+        e += 1
+    if stats is not None:
+        _count_run(values, e, stats)
+    return e, total
 
 
-def _two_smallest(values: list[float]) -> int:
-    # The pairwise rule: the tail is the last two entries.
-    return len(values) - 2
+def _count_run(values: list[float], e: int, stats: ReductionStats) -> None:
+    # What the one-merge fold would count for each merge of the run of e
+    # entries: its two tail entries plus the entries its sum moves past.
+    # Every merge but the last moves its sum past none or one.
+    stats.iterations += e - 1
+    total = values[0] + values[1]
+    for j in range(2, e):
+        stats.rewritten += 2 if total <= values[j] else 3
+        total += values[j]
+    stats.rewritten += 2 + bisect.bisect_left(values, total, e) - e
 
 
-def _fold(values: list[float], ids: list, s: int) -> int:
-    # The one fold of both rules, in place on lists the caller owns: the tail
-    # from s becomes one entry, its sum, whose id is the list of the tail's
-    # ids, reinserted where the list stays sorted. Only the suffix from that
-    # point is rewritten; returns how many entries it held. fsum of two floats
-    # is their rounded + but raises on overflow, before either list changes.
-    value = math.fsum(values[s:])
-    pos = _insertion_point(values, value, s)
-    rewritten = len(values) - pos
-    values[pos:] = [value, *values[pos:s]]
-    ids[pos:] = [ids[s:], *ids[pos:s]]
-    return rewritten
+def _fold(values: list[float], ids: list, e: int, total: float) -> None:
+    # The one fold of both rules, in place on ascending lists the caller owns:
+    # the tail values[:e] becomes one entry, total, whose id is the list of
+    # the tail's ids, reinserted where the list stays sorted, before equal
+    # entries, so that in the non-increasing order older blocks stay first.
+    # Only the prefix up to that point is rewritten.
+    pos = bisect.bisect_left(values, total, e)
+    values[:pos] = [*values[e:pos], total]
+    ids[:pos] = [*ids[e:pos], ids[:e]]
 
 
 def _reduce(
-    rule: Callable[[list[float]], int], sorted_areas: Sequence[float], stats: ReductionStats | None
+    rule: Callable[[list[float], ReductionStats | None], tuple[int, float]],
+    sorted_areas: Sequence[float],
+    stats: ReductionStats | None,
 ) -> tuple[Block, Block]:
-    # Both rules reduce here; a rule's tail must hold at least two entries.
-    # An int id is a position of the sorted input, and a list id is a fold,
-    # holding its tail's ids: the ids nest into the merge forest.
-    if len(sorted_areas) < 2:
+    # Both rules reduce here, on the areas reversed, so that the list ascends
+    # and every search is a plain bisect with no key; reversing copies no
+    # float, where negating would make one per entry. A rule returns how many
+    # of the smallest entries form the tail, at least two, and their sum, and
+    # counts its merges into stats. An int id is a position of the sorted
+    # input, and a list id is a fold, holding its tail's ids: the ids nest
+    # into the merge forest.
+    k = len(sorted_areas)
+    if k < 2:
         raise ValueError("need at least two areas to bipartition")
     if stats is not None:
-        stats.pairwise_equivalent += len(sorted_areas) - 2
+        stats.pairwise_equivalent += k - 2
     values = list(sorted_areas)
-    ids: list = list(range(len(values)))
+    values.reverse()
+    ids: list = list(range(k - 1, -1, -1))
     while len(values) > 2:
-        rewritten = _fold(values, ids, rule(values))
-        if stats is not None:
-            stats.iterations += 1
-            stats.rewritten += rewritten
-    return Block(_members(ids[0]), values[0]), Block(_members(ids[1]), values[1])
+        e, total = rule(values, stats)
+        _fold(values, ids, e, total)
+    v2, v1 = values
+    # A sum past the largest float is inf and so lands last; math.fsum of
+    # the two entries that made it raises, so the reduction does too.
+    if v1 == math.inf != sorted_areas[0]:
+        raise OverflowError("intermediate overflow in fsum")
+    # An int id leaves every other position to the other block.
+    b, a = ids
+    if isinstance(a, int):
+        m1 = (a,)
+        m2 = (b,) if isinstance(b, int) else (*range(a), *range(a + 1, k))
+    elif isinstance(b, int):
+        m1, m2 = (*range(b), *range(b + 1, k)), (b,)
+    else:
+        m1, m2 = _members(a), _members(b)
+    return Block(m1, v1), Block(m2, v2)
 
 
-def _members(node: int | list) -> tuple[int, ...]:
-    # The ascending input positions under one id, gathered with a stack:
+def _members(node: list) -> tuple[int, ...]:
+    # The ascending input positions under one fold, gathered with a stack:
     # ids nest as deep as the list is long.
-    if isinstance(node, int):
-        return (node,)
     leaves: list[int] = []
     stack = [node]
     while stack:

@@ -13,21 +13,30 @@ rule; the resulting layouts carry no quality guarantee.
 
 from __future__ import annotations
 
+import bisect
 import math
 from itertools import chain
 from typing import Sequence
 
-from .dc import Block, ReductionStats, _fold, _insertion_point, _partition, _reduce
+from .dc import Block, ReductionStats, _fold, _partition, _reduce
 from .geometry import Instance, Layout
 
 
-def _below_mean(values: list[float]) -> int:
-    k = len(values)
+def _below_mean(values: list[float], stats: ReductionStats | None = None) -> tuple[int, float]:
+    # values ascends, so the entries strictly below the mean are its first e.
     # The head is never below the exact mean, but the rounded mean of an
     # all-equal list can exceed it (three 0.2s average 0.20000000000000004),
-    # so p = 0 counts as a missing minorant.
-    p = _insertion_point(values, math.fsum(values) / k)
-    return p if 0 < p < k - 1 else (k - 1) // 2
+    # so e = k counts as a missing minorant. math.fsum runs far faster on
+    # long chains largest first, the order of the sorted input.
+    k = len(values)
+    e = bisect.bisect_left(values, math.fsum(reversed(values)) / k)
+    if not 1 < e < k:
+        e = k // 2 + 1
+    total = math.fsum(values[e - 1 :: -1])
+    if stats is not None:
+        stats.iterations += 1
+        stats.rewritten += bisect.bisect_left(values, total, e)
+    return e, total
 
 
 def mdc_reduce_step(
@@ -44,15 +53,19 @@ def mdc_reduce_step(
     totals are the entries of the shortened list. Raises ValueError unless
     ``blocks`` has one block per entry.
     """
-    if len(sorted_areas) <= 2:
+    k = len(sorted_areas)
+    if k <= 2:
         raise ValueError("reduction step needs more than two entries")
-    if len(blocks) != len(sorted_areas):
-        raise ValueError(f"{len(blocks)} blocks for {len(sorted_areas)} entries")
+    if len(blocks) != k:
+        raise ValueError(f"{len(blocks)} blocks for {k} entries")
     values = list(sorted_areas)
-    ids = list(range(len(values)))
-    s = _below_mean(values)
-    _fold(values, ids, s)
-    merged = tuple(sorted(chain.from_iterable(b.members for b in blocks[s:])))
+    values.reverse()
+    ids = list(range(k - 1, -1, -1))
+    e, total = _below_mean(values)
+    _fold(values, ids, e, total)
+    values.reverse()
+    ids.reverse()
+    merged = tuple(sorted(chain.from_iterable(b.members for b in blocks[k - e :])))
     members = [merged if isinstance(i, list) else blocks[i].members for i in ids]
     return values, [Block(m, v) for m, v in zip(members, values)]
 

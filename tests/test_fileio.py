@@ -3,7 +3,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rectpart as rp
@@ -261,12 +261,16 @@ _json_values = st.recursive(
     ),
     st.booleans(),
 )
+# 2**53 + 1 reads as its nearest double, 2**53.
+@example({"container": {"width": 1, "height": 9007199254740993}, "areas": [1]}, True)
 def test_parse_instance_returns_an_instance_or_refuses(doc, normalize):
     try:
         inst = rp.parse_instance(json.dumps(doc), normalize=normalize)
     except FileFormatError:
         return
-    assert (inst.container.w, inst.container.h) == (doc["container"]["width"], doc["container"]["height"])
+    # The reader promises each number's nearest double.
+    want = (float(doc["container"]["width"]), float(doc["container"]["height"]))
+    assert (inst.container.w, inst.container.h) == want
     assert inst.n == len(doc["areas"])
 
 
